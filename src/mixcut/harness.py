@@ -70,6 +70,10 @@ PHASE_CSV_HEADER = (
 
 _METHODS = ("exact", "hillclimb", "spectral")
 _METRICS = {"hamming": Metric.HAMMING, "score": Metric.SCORE}
+_CONFIG_KEYS = (
+    "model", "n_values", "k_values", "trials", "method", "metric", "seed",
+    "output", "restarts", "first_improvement", "cap_nodes",
+)
 
 
 class ValidationError(ValueError):
@@ -92,6 +96,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        unknown = sorted(set(payload) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ValidationError(
+                f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                f"expected keys: {', '.join(_CONFIG_KEYS)}"
+            )
         return cls(
             model_source=payload["model"],
             n_values=tuple(int(v) for v in payload["n_values"]),
@@ -235,7 +245,12 @@ def run_cell(config: ExperimentConfig, n: int, k: int):
 def worker_count() -> int:
     env = os.environ.get("MIXCUT_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValidationError(
+                f"MIXCUT_THREADS must be an integer worker count, got {env!r}"
+            ) from None
     return min(8, os.cpu_count() or 1)
 
 
@@ -289,15 +304,36 @@ def phase_diagram(config: ExperimentConfig):
     for rec in results:
         by_cell[(rec.n, rec.k)].append(rec)
     aggregates = [_aggregate(config, n, k, by_cell[(n, k)]) for (n, k) in cells]
-    with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PHASE_CSV_HEADER + "\n")
-        for a in aggregates:
-            fh.write(
-                f"{a.n},{a.k},{_g6(a.gamma)},{a.method},{a.metric},{a.trials},"
-                f"{a.successes},{_g6(a.successes / a.trials)},{_g6(a.mean_l)},"
-                f"{a.required_k_case},{_g6(a.required_k_value)},{a.seed}\n"
-            )
+    text = PHASE_CSV_HEADER + "\n" + "".join(
+        f"{a.n},{a.k},{_g6(a.gamma)},{a.method},{a.metric},{a.trials},"
+        f"{a.successes},{_g6(a.successes / a.trials)},{_g6(a.mean_l)},"
+        f"{a.required_k_case},{_g6(a.required_k_value)},{a.seed}\n"
+        for a in aggregates
+    )
+    _write_replacing(config.output, text)
     return aggregates
+
+
+def _write_replacing(path: str, text: str) -> None:
+    """Write `text` to a new file beside `path`, then rename it onto `path`,
+    so an existing output is replaced whole and never truncated in place.
+    A symlinked output is replaced at its target; paths that exist but are
+    not regular files (e.g. os.devnull) are written directly."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    folder, name = os.path.split(os.path.realpath(path))
+    tmp = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
+    # O_EXCL never clobbers another file; mode 0o666 under the umask, as open()
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, os.path.join(folder, name))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_phase_csv(path: str):

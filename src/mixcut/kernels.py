@@ -1,21 +1,23 @@
-"""Hot inner loops: exact balanced-cut enumeration and 1-swap hill climbing.
+"""Hot inner loops: exact balanced-cut search and 1-swap hill climbing.
 
-Two interchangeable backends produce bit-identical results:
+The exact search has one code path: Horowitz-Sahni split-and-list over the
+two node halves, scored with dense float64 matrix products (exact on integer
+weights).  Hill climbing has two interchangeable backends that produce
+bit-identical results:
 
-* ``numba`` (default when importable) JIT-compiles the loops; the enumerator
-  walks combinations in lexicographic order and maintains the cut weight
-  incrementally (O(N) per single-node move instead of O(N^2) recomputation).
-* ``numpy`` evaluates combination chunks with dense matrix products; it is
-  the fallback when numba is absent and the reference for the benchmark in
-  ``benchmarks/bench_kernels.py``.
+* ``numba`` (default when importable) JIT-compiles the swap scan and keeps
+  the per-node sums incrementally.
+* ``numpy`` scores every swap of a step with one vectorised expression; it
+  is the fallback when numba is absent.
 
-Select explicitly with the env flag ``MIXCUT_BACKEND=numba|numpy``.
+Select explicitly with the env flag ``MIXCUT_BACKEND=numba|numpy``; it only
+affects hill climbing.  ``benchmarks/layered/run.py`` times both solvers.
 
 Cut-weight bookkeeping used throughout: with membership m (1 = side_s),
 g[v] = sum_{j in S} w[v, j] and rowtot[v] = sum_j w[v, j], the cut weight is
-sum_{v not in S} g[v]; moving v into S changes the weight by
-rowtot[v] - 2 g[v], moving it out by 2 g[v] - rowtot[v], and swapping
-u in S with v outside changes it by
+sum_{v not in S} g[v] = rowtot . m - m^T w m; moving v into S changes the
+weight by rowtot[v] - 2 g[v], moving it out by 2 g[v] - rowtot[v], and
+swapping u in S with v outside changes it by
 2 g[u] - 2 g[v] + 2 w[u, v] - rowtot[u] + rowtot[v].
 """
 
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -45,14 +48,10 @@ __all__ = [
     "HAS_NUMBA",
     "active_backend",
     "exact_max_balanced_cut",
-    "exact_max_balanced_cut_numba",
-    "exact_max_balanced_cut_numpy",
     "hillclimb_sweep",
     "hillclimb_sweep_numba",
     "hillclimb_sweep_numpy",
 ]
-
-_CHUNK = 16384
 
 
 def active_backend() -> str:
@@ -65,114 +64,71 @@ def active_backend() -> str:
     return "numba" if HAS_NUMBA else "numpy"
 
 
-@njit(cache=True, nogil=True)
-def _exact_kernel(w):  # pragma: no cover - compiled
-    n = w.shape[0]
-    r = n // 2 - 1  # side_s members drawn from {1..n-1}; node 0 is fixed
-    c = np.empty(r, np.int64)
-    for i in range(r):
-        c[i] = i + 1
-    m = np.zeros(n, np.uint8)
-    m[0] = 1
-    for i in range(r):
-        m[c[i]] = 1
-    rowtot = np.zeros(n, np.int64)
-    g = np.zeros(n, np.int64)
-    for v in range(n):
-        tot = 0
-        acc = 0
-        for j in range(n):
-            tot += w[v, j]
-            if m[j] == 1:
-                acc += w[v, j]
-        rowtot[v] = tot
-        g[v] = acc
-    weight = 0
-    for v in range(n):
-        if m[v] == 0:
-            weight += g[v]
-    best_w = weight
-    best_m = m.copy()
-    tie = False
-    evals = 1
-    while True:
-        i = r - 1
-        while i >= 0 and c[i] == n - r + i:
-            i -= 1
-        if i < 0:
-            break
-        for j in range(r - 1, i - 1, -1):
-            v = c[j]
-            m[v] = 0
-            weight += 2 * g[v] - rowtot[v]
-            for t in range(n):
-                g[t] -= w[t, v]
-        base = c[i] + 1
-        for j in range(i, r):
-            v = base + (j - i)
-            c[j] = v
-            m[v] = 1
-            weight += rowtot[v] - 2 * g[v]
-            for t in range(n):
-                g[t] += w[t, v]
-        evals += 1
-        if weight > best_w:
-            best_w = weight
-            tie = False
-            for t in range(n):
-                best_m[t] = m[t]
-        elif weight == best_w:
-            tie = True  # first maximizer (lex-least side_s tuple) is kept
-    return best_w, best_m, tie, evals
+@lru_cache(maxsize=None)
+def _subsets(size: int, pick: int) -> np.ndarray:
+    """Memberships of every pick-subset of range(size), one float64 row each,
+    in lexicographic order of the subsets' index tuples (read-only)."""
+    rows = math.comb(size, pick)
+    idx = np.array(list(combinations(range(size), pick)), dtype=np.intp).reshape(rows, pick)
+    table = np.zeros((rows, size))
+    np.put_along_axis(table, idx, 1.0, axis=1)
+    table.flags.writeable = False
+    return table
 
 
-def exact_max_balanced_cut_numba(weights: np.ndarray):
-    w = np.ascontiguousarray(weights, dtype=np.int64)
-    best_w, best_m, tie, evals = _exact_kernel(w)
-    return int(best_w), np.asarray(best_m, dtype=np.uint8), bool(tie), int(evals)
-
-
-def exact_max_balanced_cut_numpy(weights: np.ndarray):
-    w = np.asarray(weights, dtype=np.int64)
-    n = w.shape[0]
-    r = n // 2 - 1
-    best_w = None
-    best_m = None
-    tie = False
-    evals = 0
-    combos = combinations(range(1, n), r)
-    while True:
-        block = list(islice(combos, _CHUNK))
-        if not block:
-            break
-        idx = np.asarray(block, dtype=np.int64).reshape(len(block), r)
-        m = np.zeros((len(block), n), dtype=np.int64)
-        m[:, 0] = 1
-        np.put_along_axis(m, idx, 1, axis=1)
-        across = m @ w  # row v: sum over side_s of w[., v]
-        cw = (across * (1 - m)).sum(axis=1)
-        evals += len(block)
-        top = int(cw.max())
-        hits = int((cw == top).sum())
-        if best_w is None or top > best_w:
-            best_w = top
-            best_m = m[int(np.argmax(cw))].astype(np.uint8)
-            tie = hits > 1
-        elif top == best_w:
-            tie = True
-    return int(best_w), best_m, bool(tie), int(evals)
+def _side_weights(m: np.ndarray, w_xx: np.ndarray, r_x: np.ndarray) -> np.ndarray:
+    """f_X(m) = r_X . m - m^T W_XX m for every row m of a membership table."""
+    return m @ r_x - ((m @ w_xx) * m).sum(axis=1)
 
 
 def exact_max_balanced_cut(weights: np.ndarray):
-    """Maximum-weight canonical balanced cut.
+    """Maximum-weight canonical balanced cut by split-and-list.
+
+    Nodes split into A = {0..N-1} (node 0 always on side_s) and
+    B = {N..2N-1}.  For each count s = |side_s & A|, every cut is scored at
+    once as f_A(m_A) + f_B(m_B) - 2 m_A W_AB m_B^T, with matrix products over
+    the subset tables of the two halves.  Weights are integers and every
+    term stays below 2**53, so the float64 scores are exact.
 
     Returns (best_weight, membership uint8[n], tie, evaluations); ties keep
-    the first maximizer in enumeration order, i.e. the lexicographically
-    smallest side_s index tuple.
+    the lexicographically smallest side_s index tuple and set `tie`, and
+    evaluations counts every cut scored, C(2N-1, N-1).
     """
-    if active_backend() == "numba":
-        return exact_max_balanced_cut_numba(weights)
-    return exact_max_balanced_cut_numpy(weights)
+    w = np.asarray(weights, dtype=np.int64)
+    n = w.shape[0]
+    if n < 2 or n % 2:
+        raise ValueError(f"a balanced cut needs an even, positive node count, got {n}")
+    if 4 * n * n * int(np.abs(w).max()) >= 2**53:
+        raise ValueError("edge weights too large for exact float64 cut scores")
+    half = n // 2
+    wf = w.astype(np.float64)
+    r = wf.sum(axis=1)
+    a, b = slice(0, half), slice(half, n)
+    best_w, best_side, winners, evals = None, None, 0, 0
+    for s in range(1, half + 1):
+        # the subsets holding node 0 are the first C(N-1, s-1) rows
+        m_a = _subsets(half, s)[: math.comb(half - 1, s - 1)]
+        m_b = _subsets(half, half - s)
+        scores = (
+            _side_weights(m_a, wf[a, a], r[a])[:, None]
+            + _side_weights(m_b, wf[b, b], r[b])
+            - 2.0 * (m_a @ wf[a, b] @ m_b.T)
+        )
+        evals += scores.size
+        top = scores.max()
+        if best_w is not None and top < best_w:
+            continue
+        # row-major first maximiser: lex-least side_s among this s
+        i, j = divmod(int(np.argmax(scores)), scores.shape[1])
+        side = tuple(np.flatnonzero(m_a[i]).tolist()) + tuple((half + np.flatnonzero(m_b[j])).tolist())
+        hits = int(np.count_nonzero(scores == top))
+        if best_w is None or top > best_w:
+            best_w, best_side, winners = top, side, hits
+        else:
+            best_side, winners = min(best_side, side), winners + hits
+    membership = np.zeros(n, dtype=np.uint8)
+    membership[list(best_side)] = 1
+    return int(best_w), membership, winners > 1, evals
 
 
 @njit(cache=True, nogil=True)

@@ -1,11 +1,12 @@
 """Balanced-cut solvers: exact enumeration, hill climbing, spectral baseline.
 
-The exact solver enumerates every canonical balanced cut (node 0 fixed on
-side_s) and is the ground truth at desk scale; C(2N-1, N-1) cuts, capped by
-default at 2N = 24 nodes (~1.35M cuts).  The hill climber applies
-best-improving 1-swaps (one node each way, balance preserved) from random
-balanced starts.  The spectral baseline centers the bit matrix by its global
-column means and splits the nodes on the leading left singular vector:
+The exact solver scores every canonical balanced cut (node 0 fixed on
+side_s) by split-and-list over the two node halves and is the ground truth
+at desk scale; C(2N-1, N-1) cuts, capped by default at 2N = 24 nodes
+(~1.35M cuts).  The hill climber applies best-improving 1-swaps (one node
+each way, balance preserved) from random balanced starts.  The spectral
+baseline centers the bit matrix by its global column means and splits the
+nodes on the leading left singular vector:
 centering removes the all-samples mean direction, which otherwise occupies
 the top of the uncentered spectrum, so the between-population axis is the
 leading direction of the centered matrix.
@@ -54,10 +55,10 @@ class SolveResult:
 
 
 def solve_exact(graph: CutGraph, cap_nodes: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
-    """Maximum-weight balanced cut by full enumeration.
+    """Maximum-weight balanced cut over all C(2N-1, N-1) canonical cuts.
 
-    Ties keep the lexicographically smallest side_s index tuple (the first
-    maximizer in enumeration order) and set the tie flag.
+    Ties keep the lexicographically smallest side_s index tuple and set the
+    tie flag.
     """
     if graph.n_nodes > cap_nodes:
         raise EnumerationCapError(
@@ -93,6 +94,8 @@ def solve_hillclimb(
 
     Deterministic for a given seed: restart r draws its start from
     Philox(derive(seed, r)); equal-weight optima keep the earliest restart.
+    Each restart's end is mirrored to node 0's side before comparison, so
+    only distinct bipartitions of the best weight set the tie flag.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -105,6 +108,8 @@ def solve_hillclimb(
         rng = np.random.Generator(np.random.Philox(ss))
         start = _random_balanced_membership(graph.n_nodes, rng)
         w, m, evals, _moves = kernels.hillclimb_sweep(graph.weights, start, first_improvement)
+        if m[0] == 0:
+            m = 1 - m
         total_evals += evals + 1
         if best_w is None or w > best_w:
             best_w, best_m, tie = w, m, False

@@ -139,6 +139,25 @@ def test_phase_cap_violation_is_exit_2(tmp_path, capsys):
     assert code == 2 and "cap" in stderr
 
 
+def test_phase_unknown_config_key_is_exit_2(tmp_path, capsys):
+    config = {
+        "model": {"constant_gap": {"gamma": 0.25}},
+        "n_values": [4],
+        "k_values": [10],
+        "trials": 2,
+        "method": "hillclimb",
+        "metric": "hamming",
+        "seed": 5,
+        "restart": 32,
+        "output": str(tmp_path / "phase.csv"),
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, stderr = run_cli(capsys, "phase", "--config", str(cfg_path))
+    assert code == 2 and "restart" in stderr
+    assert not (tmp_path / "phase.csv").exists()
+
+
 def test_verify_emits_all_five_check_families(capsys):
     code, stdout, _ = run_cli(
         capsys, "verify", "--gap-gamma", "0.2", "--k", "50",

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from mixcut.harness import (
     resolve_model,
     run_cell,
     verify_concentration,
+    worker_count,
 )
 from mixcut.model import constant_gap_mixture, save_model
 from mixcut.solvers import EnumerationCapError
@@ -90,6 +94,20 @@ def test_config_validation_errors(tmp_path):
     make_config(tmp_path, n_values=[13], method="hillclimb").validate()
 
 
+def test_config_rejects_unknown_keys(tmp_path):
+    with pytest.raises(ValidationError, match="'restart'"):
+        make_config(tmp_path, restart=32)  # typo of "restarts"
+    assert make_config(tmp_path, restarts=32, method="hillclimb").restarts == 32
+
+
+def test_worker_count_rejects_non_integer_thread_setting(monkeypatch):
+    monkeypatch.setenv("MIXCUT_THREADS", "two")
+    with pytest.raises(ValidationError, match="MIXCUT_THREADS"):
+        worker_count()
+    monkeypatch.setenv("MIXCUT_THREADS", "3")
+    assert worker_count() == 3
+
+
 def test_run_cell_refuses_degenerate_model(tmp_path):
     config = make_config(tmp_path, model={"constant_gap": {"gamma": 0.0}})
     with pytest.raises(ValidationError):
@@ -146,6 +164,30 @@ def test_phase_diagram_worker_count_does_not_change_bytes(tmp_path, monkeypatch)
     phase_diagram(config)
     four = (tmp_path / "phase.csv").read_bytes()
     assert one == four
+
+
+def test_phase_diagram_replaces_existing_output_whole(tmp_path):
+    fresh = make_config(tmp_path, k_values=[10, 20], trials=6, output=str(tmp_path / "fresh.csv"))
+    phase_diagram(fresh)
+    stale = tmp_path / "phase.csv"
+    stale.write_text("stale\n" * 1000)  # longer than the CSV
+    with open(stale, encoding="utf-8") as reader:
+        phase_diagram(make_config(tmp_path, k_values=[10, 20], trials=6))
+        assert reader.read() == "stale\n" * 1000  # renamed over, not truncated in place
+    assert stale.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "phase.csv"]
+
+
+def test_phase_diagram_writes_through_a_non_regular_output(tmp_path):
+    fifo = tmp_path / "phase.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    phase_diagram(make_config(tmp_path, trials=2, output=str(fifo)))
+    reader.join(timeout=30)
+    assert got and got[0].startswith(PHASE_CSV_HEADER + "\n")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)  # not renamed over
 
 
 def test_phase_diagram_figure1_end_to_end(tmp_path):

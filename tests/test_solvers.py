@@ -1,12 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 import mixcut.kernels as kernels
-from mixcut.graph import BalancedCut, Metric, all_balanced_cuts, build_graph, cut_weight, true_partition
+from mixcut.graph import (
+    BalancedCut,
+    CutGraph,
+    Metric,
+    all_balanced_cuts,
+    build_graph,
+    cut_weight,
+    true_partition,
+)
 from mixcut.model import MixtureModel, constant_gap_mixture, derive_seed, sample
 from mixcut.solvers import (
     DegenerateInstanceError,
     EnumerationCapError,
+    _random_balanced_membership,
     climb_trace,
     evaluate,
     solve_exact,
@@ -58,6 +69,42 @@ def test_exact_matches_naive_enumerator():
                 assert res.tie == tie
                 if not tie:
                     assert res.best_cut.side_s == side
+
+
+def _random_graph(rng, n_nodes, high):
+    upper = np.triu(rng.integers(0, high + 1, size=(n_nodes, n_nodes)), 1)
+    return CutGraph(weights=upper + upper.T, metric=Metric.HAMMING, n_nodes=n_nodes)
+
+
+def test_exact_matches_naive_enumerator_on_tie_heavy_weights():
+    rng = np.random.default_rng(105)
+    ties = 0
+    for n_nodes in range(2, 13, 2):
+        for _ in range(12):
+            graph = _random_graph(rng, n_nodes, high=2)
+            res = solve_exact(graph)
+            w, side, tie = naive_extreme_balanced_cut(graph.weights, maximize=True)
+            assert (res.best_weight, res.best_cut.side_s, res.tie) == (w, side, tie)
+            assert res.evaluations == math.comb(n_nodes - 1, n_nodes // 2 - 1)
+            ties += tie
+    assert ties >= 10  # the lex-least tie rule is exercised, not just the maximum
+
+
+def test_exact_all_zero_graph_keeps_first_cut_and_counts_every_cut():
+    for n in range(1, 8):
+        zeros = np.zeros((2 * n, 2 * n), dtype=np.int64)
+        graph = CutGraph(weights=zeros, metric=Metric.HAMMING, n_nodes=2 * n)
+        res = solve_exact(graph)
+        assert res.best_weight == 0
+        assert res.best_cut.side_s == tuple(range(n))
+        assert res.tie is (n > 1)
+        assert res.evaluations == math.comb(2 * n - 1, n - 1)
+
+
+def test_exact_two_nodes_has_no_side_s_node_in_second_half():
+    graph = CutGraph(weights=np.array([[0, 5], [5, 0]]), metric=Metric.HAMMING, n_nodes=2)
+    res = solve_exact(graph)
+    assert (res.best_weight, res.best_cut.side_s, res.tie, res.evaluations) == (5, (0,), False, 1)
 
 
 def test_exact_result_weight_is_exact_and_dominates_all_cuts():
@@ -112,6 +159,18 @@ def test_hillclimb_never_beats_exact_and_is_deterministic():
         assert hc1.best_cut == hc2.best_cut
         assert hc1.best_weight == hc2.best_weight
         assert len(hc1.best_cut.side_s) == 4 and 0 in hc1.best_cut.side_s
+
+
+def test_hillclimb_mirror_image_ends_are_not_a_tie():
+    graph = build_graph(deterministic_dataset(), Metric.HAMMING)
+    ends = []
+    for r in range(2):  # the two restarts solve_hillclimb(seed=1) runs
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=1, spawn_key=(r,))))
+        ends.append(kernels.hillclimb_sweep(graph.weights, _random_balanced_membership(4, rng))[1])
+    assert np.array_equal(ends[0], 1 - ends[1])  # one bipartition, two mirror images
+    res = solve_hillclimb(graph, restarts=2, seed=1)
+    assert res.tie is False
+    assert res.best_weight == 12 and res.best_cut.side_s == (0, 1)
 
 
 def test_hillclimb_first_improvement_flag():
