@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import harness, theory
-from .graph import Metric, build_graph, cut_weight, swap_count, true_partition
+from .graph import Metric, build_graph
 from .model import (
     constant_gap_mixture,
     divergence,
@@ -27,9 +27,8 @@ from .solvers import (
     DEFAULT_ENUMERATION_CAP,
     DegenerateInstanceError,
     EnumerationCapError,
-    solve_exact,
-    solve_hillclimb,
-    solve_spectral,
+    judge,
+    solve,
 )
 
 _REFUSALS = (EnumerationCapError, DegenerateInstanceError, harness.ValidationError)
@@ -119,19 +118,11 @@ def _cmd_solve(args) -> int:
     dataset = sample(model, args.n, args.seed)
     metric = Metric(args.metric)
     graph = build_graph(dataset, metric)
-    if args.method == "exact":
-        result = solve_exact(graph, cap_nodes=args.cap_nodes)
-    elif args.method == "hillclimb":
-        result = solve_hillclimb(
-            graph, restarts=args.restarts, seed=args.seed,
-            first_improvement=args.first_improvement,
-        )
-    else:
-        result = solve_spectral(dataset, metric)
-    truth = true_partition(dataset)
-    true_weight = cut_weight(graph, truth)
-    l_from_truth = swap_count(truth, result.best_cut)
-    success = l_from_truth == 0 and not (result.tie and true_weight == result.best_weight)
+    result = solve(
+        graph, dataset, args.method, restarts=args.restarts, seed=args.seed,
+        first_improvement=args.first_improvement, cap_nodes=args.cap_nodes,
+    )
+    true_weight, l_from_truth, _tie_with_truth, success = judge(graph, dataset, result)
     print(json.dumps({
         "success": success,
         "method": result.method,

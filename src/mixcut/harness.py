@@ -7,10 +7,9 @@ change scheduling, and records are sorted by (N, K, trial) before any
 aggregation.  ``MIXCUT_THREADS`` caps the worker count (speed only, never
 output).
 
-A trial counts as a success only when the solver's cut equals the hidden
-partition AND no other cut ties its weight; ties involving the true
-partition are tallied separately (strict reading of "the maximum cut is the
-partition").
+Each trial goes through `solvers.solve` and `solvers.judge`: a success
+needs the solver's cut to equal the hidden partition AND no other cut to
+tie its weight; ties involving the true partition are tallied separately.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Metric, build_graph, cut_weight, swap_count, true_partition
+from .graph import Metric, build_graph
 from .model import (
     MixtureModel,
     constant_gap_mixture,
@@ -35,13 +34,7 @@ from .model import (
     load_model,
     sample,
 )
-from .solvers import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationCapError,
-    solve_exact,
-    solve_hillclimb,
-    solve_spectral,
-)
+from .solvers import DEFAULT_ENUMERATION_CAP, EnumerationCapError, judge, solve
 from .theory import delta, required_k
 
 __all__ = [
@@ -80,6 +73,19 @@ class ValidationError(ValueError):
     """Config or model fails a precondition (distinct from usage errors)."""
 
 
+def _json_int(key: str, value) -> int:
+    """`value` if it is a JSON integer (not a bool, float or string)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"config key {key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_ints(key: str, values) -> tuple:
+    if not isinstance(values, list):
+        raise ValidationError(f"config key {key!r} must be a JSON list of integers, got {values!r}")
+    return tuple(_json_int(key, v) for v in values)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model_source: dict
@@ -102,18 +108,23 @@ class ExperimentConfig:
                 f"unknown config key(s) {', '.join(map(repr, unknown))}; "
                 f"expected keys: {', '.join(_CONFIG_KEYS)}"
             )
+        first_improvement = payload.get("first_improvement", False)
+        if not isinstance(first_improvement, bool):
+            raise ValidationError(
+                f"config key 'first_improvement' must be true or false, got {first_improvement!r}"
+            )
         return cls(
             model_source=payload["model"],
-            n_values=tuple(int(v) for v in payload["n_values"]),
-            k_values=tuple(int(v) for v in payload["k_values"]),
-            trials=int(payload["trials"]),
+            n_values=_json_ints("n_values", payload["n_values"]),
+            k_values=_json_ints("k_values", payload["k_values"]),
+            trials=_json_int("trials", payload["trials"]),
             method=str(payload["method"]),
             metric=str(payload["metric"]),
-            seed=int(payload["seed"]),
+            seed=_json_int("seed", payload["seed"]),
             output=str(payload["output"]),
-            restarts=int(payload.get("restarts", 8)),
-            first_improvement=bool(payload.get("first_improvement", False)),
-            cap_nodes=int(payload.get("cap_nodes", DEFAULT_ENUMERATION_CAP)),
+            restarts=_json_int("restarts", payload.get("restarts", 8)),
+            first_improvement=first_improvement,
+            cap_nodes=_json_int("cap_nodes", payload.get("cap_nodes", DEFAULT_ENUMERATION_CAP)),
         )
 
     @classmethod
@@ -124,6 +135,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
+        if self.restarts < 1:
+            raise ValidationError("restarts must be >= 1")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValidationError("all N values must be positive")
         if not self.k_values or any(k < 1 for k in self.k_values):
@@ -204,22 +217,12 @@ def run_trial(config: ExperimentConfig, model: MixtureModel, n: int, k: int, tri
     seed = derive_seed(config.seed, n, k, trial)
     start = time.perf_counter()
     dataset = sample(model, n, seed)
-    metric = _METRICS[config.metric]
-    graph = build_graph(dataset, metric)
-    if config.method == "exact":
-        result = solve_exact(graph, cap_nodes=config.cap_nodes)
-    elif config.method == "hillclimb":
-        result = solve_hillclimb(
-            graph, restarts=config.restarts, seed=seed,
-            first_improvement=config.first_improvement,
-        )
-    else:
-        result = solve_spectral(dataset, metric)
-    truth = true_partition(dataset)
-    true_weight = cut_weight(graph, truth)
-    l_from_truth = swap_count(truth, result.best_cut)
-    tie_with_truth = result.tie and true_weight == result.best_weight
-    success = l_from_truth == 0 and not tie_with_truth
+    graph = build_graph(dataset, _METRICS[config.metric])
+    result = solve(
+        graph, dataset, config.method, restarts=config.restarts, seed=seed,
+        first_improvement=config.first_improvement, cap_nodes=config.cap_nodes,
+    )
+    true_weight, l_from_truth, tie_with_truth, success = judge(graph, dataset, result)
     return TrialRecord(
         n=n,
         k=k,

@@ -1,17 +1,9 @@
 """Hot inner loops: exact balanced-cut search and 1-swap hill climbing.
 
-The exact search has one code path: Horowitz-Sahni split-and-list over the
-two node halves, scored with dense float64 matrix products (exact on integer
-weights).  Hill climbing has two interchangeable backends that produce
-bit-identical results:
-
-* ``numba`` (default when importable) JIT-compiles the swap scan and keeps
-  the per-node sums incrementally.
-* ``numpy`` scores every swap of a step with one vectorised expression; it
-  is the fallback when numba is absent.
-
-Select explicitly with the env flag ``MIXCUT_BACKEND=numba|numpy``; it only
-affects hill climbing.  ``benchmarks/layered/run.py`` times both solvers.
+Both run on numpy alone.  The exact search is Horowitz-Sahni split-and-list
+over the two node halves, scored with dense float64 matrix products (exact
+on integer weights).  The hill climber scores every swap of a step with one
+vectorised expression.  ``benchmarks/layered/run.py`` times both solvers.
 
 Cut-weight bookkeeping used throughout: with membership m (1 = side_s),
 g[v] = sum_{j in S} w[v, j] and rowtot[v] = sum_j w[v, j], the cut weight is
@@ -24,44 +16,21 @@ swapping u in S with v outside changes it by
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
 __all__ = [
-    "HAS_NUMBA",
     "active_backend",
     "exact_max_balanced_cut",
     "hillclimb_sweep",
-    "hillclimb_sweep_numba",
-    "hillclimb_sweep_numpy",
 ]
 
 
 def active_backend() -> str:
-    """Backend chosen by MIXCUT_BACKEND, defaulting to numba when present."""
-    choice = os.environ.get("MIXCUT_BACKEND", "").strip().lower()
-    if choice in ("numba", "numpy"):
-        if choice == "numba" and not HAS_NUMBA:
-            raise RuntimeError("MIXCUT_BACKEND=numba but numba is not installed")
-        return choice
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the array backend the kernels run on (recorded by benchmarks)."""
+    return "numpy"
 
 
 @lru_cache(maxsize=None)
@@ -131,75 +100,22 @@ def exact_max_balanced_cut(weights: np.ndarray):
     return int(best_w), membership, winners > 1, evals
 
 
-@njit(cache=True, nogil=True)
-def _climb_kernel(w, m, first_improvement):  # pragma: no cover - compiled
-    n = w.shape[0]
-    rowtot = np.zeros(n, np.int64)
-    g = np.zeros(n, np.int64)
-    for v in range(n):
-        tot = 0
-        acc = 0
-        for j in range(n):
-            tot += w[v, j]
-            if m[j] == 1:
-                acc += w[v, j]
-        rowtot[v] = tot
-        g[v] = acc
-    weight = 0
-    for v in range(n):
-        if m[v] == 0:
-            weight += g[v]
-    evals = 0
-    moves = 0
-    while True:
-        best_delta = 0
-        bu = -1
-        bv = -1
-        done = False
-        for u in range(n):
-            if m[u] != 1:
-                continue
-            for v in range(n):
-                if m[v] != 0:
-                    continue
-                evals += 1
-                delta = 2 * g[u] - 2 * g[v] + 2 * w[u, v] - rowtot[u] + rowtot[v]
-                if delta > best_delta:
-                    best_delta = delta
-                    bu = u
-                    bv = v
-                    if first_improvement:
-                        done = True
-                        break
-            if done:
-                break
-        if best_delta <= 0:
-            break
-        m[bu] = 0
-        m[bv] = 1
-        weight += best_delta
-        moves += 1
-        for t in range(n):
-            g[t] += w[t, bv] - w[t, bu]
-    return weight, evals, moves
+def hillclimb_sweep(weights: np.ndarray, membership: np.ndarray, first_improvement: bool = False):
+    """Best-improvement 1-swap local search from a balanced start.
 
-
-def hillclimb_sweep_numba(weights: np.ndarray, membership: np.ndarray, first_improvement: bool = False):
-    w = np.ascontiguousarray(weights, dtype=np.int64)
-    m = np.ascontiguousarray(membership, dtype=np.uint8).copy()
-    weight, evals, moves = _climb_kernel(w, m, first_improvement)
-    return int(weight), m, int(evals), int(moves)
-
-
-def hillclimb_sweep_numpy(weights: np.ndarray, membership: np.ndarray, first_improvement: bool = False, trace=None):
+    Scan order is (u ascending over side_s) x (v ascending over side_sbar);
+    each step applies the first swap attaining the best positive gain (with
+    `first_improvement`, the first positive one).  Returns (weight,
+    membership, evaluations, trace), where trace lists the cut weight after
+    each accepted swap.
+    """
     w = np.asarray(weights, dtype=np.int64)
-    m = np.asarray(membership, dtype=np.uint8).copy()
     rowtot = w.sum(axis=1)
-    in_s = m.astype(bool)
+    in_s = np.asarray(membership).astype(bool)
     g = w[:, in_s].sum(axis=1)
     weight = int(g[~in_s].sum())
     evals = 0
-    moves = 0
+    trace: list[int] = []
     while True:
         s_idx = np.flatnonzero(in_s)
         sbar_idx = np.flatnonzero(~in_s)
@@ -215,35 +131,17 @@ def hillclimb_sweep_numpy(weights: np.ndarray, membership: np.ndarray, first_imp
             if pos.size == 0:
                 break
             ui, vi = pos[0]
-            best = int(delta[ui, vi])
         else:
-            flat = int(np.argmax(delta))
-            ui, vi = divmod(flat, delta.shape[1])
-            best = int(delta[ui, vi])
-            if best <= 0:
+            ui, vi = divmod(int(np.argmax(delta)), delta.shape[1])
+            if delta[ui, vi] <= 0:
                 break
         u, v = int(s_idx[ui]), int(sbar_idx[vi])
         in_s[u] = False
         in_s[v] = True
         g = g + w[:, v] - w[:, u]
-        weight += best
-        moves += 1
-        if trace is not None:
-            trace.append(weight)
-    m = in_s.astype(np.uint8)
-    return int(weight), m, int(evals), int(moves)
-
-
-def hillclimb_sweep(weights: np.ndarray, membership: np.ndarray, first_improvement: bool = False):
-    """Best-improvement 1-swap local search from a balanced start.
-
-    Scan order is (u ascending over side_s) x (v ascending over side_sbar);
-    both backends apply the first swap attaining the best positive gain, so
-    results are identical.  Returns (weight, membership, evaluations, moves).
-    """
-    if active_backend() == "numba":
-        return hillclimb_sweep_numba(weights, membership, first_improvement)
-    return hillclimb_sweep_numpy(weights, membership, first_improvement)
+        weight += int(delta[ui, vi])
+        trace.append(weight)
+    return weight, in_s.astype(np.uint8), evals, trace
 
 
 def n_balanced_cuts(n_nodes: int) -> int:

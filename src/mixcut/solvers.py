@@ -1,4 +1,5 @@
-"""Balanced-cut solvers: exact enumeration, hill climbing, spectral baseline.
+"""Balanced-cut solvers (exact, hill climbing, spectral) and the one
+solve-and-judge path that every trial goes through.
 
 The exact solver scores every canonical balanced cut (node 0 fixed on
 side_s) by split-and-list over the two node halves and is the ground truth
@@ -9,7 +10,12 @@ baseline centers the bit matrix by its global column means and splits the
 nodes on the leading left singular vector:
 centering removes the all-samples mean direction, which otherwise occupies
 the top of the uncentered spectrum, so the between-population axis is the
-leading direction of the centered matrix.
+leading direction of the centered matrix.  It weighs its cut from the
+per-side column sums of the bits, without building the graph.
+
+`solve` dispatches on the method name; `judge` scores a result against the
+hidden partition under the strict success rule: the cut must equal the
+partition and no other cut may tie its weight.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .graph import BalancedCut, CutGraph, Metric, build_graph, cut_weight, true_partition
+from .graph import BalancedCut, CutGraph, Metric, cut_weight, swap_count, true_partition
 from .model import Dataset
 
 __all__ = [
@@ -30,6 +36,8 @@ __all__ = [
     "solve_exact",
     "solve_hillclimb",
     "solve_spectral",
+    "solve",
+    "judge",
     "evaluate",
     "climb_trace",
 ]
@@ -107,7 +115,7 @@ def solve_hillclimb(
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(r,))
         rng = np.random.Generator(np.random.Philox(ss))
         start = _random_balanced_membership(graph.n_nodes, rng)
-        w, m, evals, _moves = kernels.hillclimb_sweep(graph.weights, start, first_improvement)
+        w, m, evals, _trace = kernels.hillclimb_sweep(graph.weights, start, first_improvement)
         if m[0] == 0:
             m = 1 - m
         total_evals += evals + 1
@@ -126,11 +134,8 @@ def solve_hillclimb(
 
 def climb_trace(graph: CutGraph, start: BalancedCut, first_improvement: bool = False):
     """Weights after each accepted swap of a single climb (for inspection)."""
-    trace: list[int] = []
-    w, m, _evals, _moves = kernels.hillclimb_sweep_numpy(
-        graph.weights, start.membership(), first_improvement, trace=trace
-    )
-    return trace, int(w), BalancedCut.from_membership(m)
+    w, m, _evals, trace = kernels.hillclimb_sweep(graph.weights, start.membership(), first_improvement)
+    return trace, w, BalancedCut.from_membership(m)
 
 
 def solve_spectral(dataset: Dataset, metric: Metric = Metric.HAMMING) -> SolveResult:
@@ -138,7 +143,9 @@ def solve_spectral(dataset: Dataset, metric: Metric = Metric.HAMMING) -> SolveRe
 
     The top N nodes by singular-vector value form side_s; a global sign flip
     only mirrors the bipartition, so the result is sign-invariant.  The
-    returned weight is the cut's weight under `metric`.
+    returned weight is the cut's weight under `metric`, from the per-side
+    column sums a and b of the bits: a.b under score, and
+    N (sum a + sum b) - 2 a.b under Hamming (exact integers).
     """
     bits = dataset.bits.astype(np.float64)
     if np.all(dataset.bits == dataset.bits[0]):
@@ -147,16 +154,53 @@ def solve_spectral(dataset: Dataset, metric: Metric = Metric.HAMMING) -> SolveRe
     u, _s, _vt = np.linalg.svd(centered, full_matrices=False)
     lead = u[:, 0]
     order = np.argsort(-lead, kind="stable")
-    side = order[: dataset.n_per_side]
-    cut = BalancedCut.from_side(side.tolist(), dataset.n_nodes)
-    graph = build_graph(dataset, metric)
+    n = dataset.n_per_side
+    a = dataset.bits[order[:n]].sum(axis=0, dtype=np.int64)
+    b = dataset.bits[order[n:]].sum(axis=0, dtype=np.int64)
+    weight = int(a @ b)
+    if metric is not Metric.SCORE:
+        weight = n * int(a.sum() + b.sum()) - 2 * weight
     return SolveResult(
-        best_cut=cut,
-        best_weight=cut_weight(graph, cut),
+        best_cut=BalancedCut.from_side(order[:n].tolist(), dataset.n_nodes),
+        best_weight=weight,
         method="spectral",
         evaluations=1,
         tie=False,
     )
+
+
+def solve(
+    graph: CutGraph,
+    dataset: Dataset,
+    method: str,
+    restarts: int,
+    seed: int,
+    first_improvement: bool,
+    cap_nodes: int,
+) -> SolveResult:
+    """Run the named solver ("exact", "hillclimb" or "spectral") on the
+    graph of `dataset`; `seed` drives the hill climber's restarts."""
+    if method == "exact":
+        return solve_exact(graph, cap_nodes=cap_nodes)
+    if method == "hillclimb":
+        return solve_hillclimb(graph, restarts=restarts, seed=seed, first_improvement=first_improvement)
+    if method == "spectral":
+        return solve_spectral(dataset, graph.metric)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def judge(graph: CutGraph, dataset: Dataset, result: SolveResult):
+    """Score a result against the hidden partition.
+
+    Returns (true_weight, L, tie_with_truth, success): a success needs the
+    solved cut to equal the partition (L = 0) and no tie at the truth's
+    weight (strict reading of "the maximum cut is the partition").
+    """
+    truth = true_partition(dataset)
+    true_weight = cut_weight(graph, truth)
+    l_from_truth = swap_count(truth, result.best_cut)
+    tie_with_truth = result.tie and true_weight == result.best_weight
+    return true_weight, l_from_truth, tie_with_truth, l_from_truth == 0 and not tie_with_truth
 
 
 def evaluate(result: SolveResult, dataset: Dataset) -> bool:

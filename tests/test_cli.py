@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -156,6 +157,74 @@ def test_phase_unknown_config_key_is_exit_2(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "phase", "--config", str(cfg_path))
     assert code == 2 and "restart" in stderr
     assert not (tmp_path / "phase.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("restarts", 0), ("first_improvement", "false")])
+def test_phase_bad_config_value_is_refused_before_any_trial(tmp_path, capsys, key, value):
+    config = {
+        "model": {"constant_gap": {"gamma": 0.25}},
+        "n_values": [4],
+        "k_values": [10],
+        "trials": 2,
+        "method": "hillclimb",
+        "metric": "hamming",
+        "seed": 5,
+        key: value,
+        "output": str(tmp_path / "phase.csv"),
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, stderr = run_cli(capsys, "phase", "--config", str(cfg_path))
+    assert code == 2 and "refused:" in stderr and key in stderr
+    assert not (tmp_path / "phase.csv").exists()
+
+
+def test_phase_readme_example_config_csv_is_pinned(tmp_path, capsys):
+    # the sweep config printed in README.md; the digest is of its CSV bytes
+    config = {
+        "model": {"constant_gap": {"gamma": 0.25}},
+        "n_values": [6],
+        "k_values": [10, 40, 160, 640],
+        "trials": 200,
+        "method": "exact",
+        "metric": "hamming",
+        "seed": 20240601,
+        "output": str(tmp_path / "phase.csv"),
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli(capsys, "phase", "--config", str(cfg_path))[0] == 0
+    digest = hashlib.sha256((tmp_path / "phase.csv").read_bytes()).hexdigest()
+    assert digest == "62d68a7d3e46fd1acb1e55fe1545ff3721d3d9ad82e1aad48025de9c6b74e129"
+
+
+# `mixcut solve --n 5 --seed 11` on the model `gen --gap-gamma 0.25 --k 40`
+_SOLVE_GOLDEN = {
+    ("exact", "hamming"):
+        '{"success": true, "method": "exact", "metric": "hamming", "best_weight": 638, "true_weight": 638, "L": 0, "tie": false, "evaluations": 126, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 1, 2, 3, 4]}',
+    ("exact", "score"):
+        '{"success": false, "method": "exact", "metric": "score", "best_weight": 235, "true_weight": 166, "L": 2, "tie": true, "evaluations": 126, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 3, 4, 6, 8]}',
+    ("hillclimb", "hamming"):
+        '{"success": true, "method": "hillclimb", "metric": "hamming", "best_weight": 638, "true_weight": 638, "L": 0, "tie": false, "evaluations": 583, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 1, 2, 3, 4]}',
+    ("hillclimb", "score"):
+        '{"success": false, "method": "hillclimb", "metric": "score", "best_weight": 235, "true_weight": 166, "L": 2, "tie": true, "evaluations": 458, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 3, 4, 6, 9]}',
+    ("spectral", "hamming"):
+        '{"success": true, "method": "spectral", "metric": "hamming", "best_weight": 638, "true_weight": 638, "L": 0, "tie": false, "evaluations": 1, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 1, 2, 3, 4]}',
+    ("spectral", "score"):
+        '{"success": true, "method": "spectral", "metric": "score", "best_weight": 166, "true_weight": 166, "L": 0, "tie": false, "evaluations": 1, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 1, 2, 3, 4]}',
+}
+
+
+@pytest.mark.parametrize("method, metric", sorted(_SOLVE_GOLDEN))
+def test_solve_output_is_pinned(tmp_path, capsys, method, metric):
+    out = tmp_path / "m.json"
+    run_cli(capsys, "gen", "--gap-gamma", "0.25", "--k", "40", "--out", str(out))
+    code, stdout, _ = run_cli(
+        capsys, "solve", "--model", str(out), "--n", "5", "--seed", "11",
+        "--method", method, "--metric", metric,
+    )
+    assert code == 0
+    assert stdout == _SOLVE_GOLDEN[(method, metric)] + "\n"
 
 
 def test_verify_emits_all_five_check_families(capsys):

@@ -90,8 +90,36 @@ def test_config_validation_errors(tmp_path):
         make_config(tmp_path, metric="cosine").validate()
     with pytest.raises(ValidationError):
         make_config(tmp_path, k_values=[0]).validate()
+    with pytest.raises(ValidationError, match="restarts"):
+        make_config(tmp_path, method="hillclimb", restarts=0).validate()
     # hillclimb cells are not subject to the enumeration cap
     make_config(tmp_path, n_values=[13], method="hillclimb").validate()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("first_improvement", "false"),
+    ("first_improvement", 0),
+    ("trials", 2.7),
+    ("trials", 2.0),
+    ("trials", "20"),
+    ("trials", True),
+    ("seed", 99.5),
+    ("restarts", "8"),
+    ("cap_nodes", 24.0),
+    ("n_values", [4.5]),
+    ("n_values", 4),
+    ("k_values", ["30"]),
+    ("k_values", [True]),
+])
+def test_config_refuses_values_of_the_wrong_json_type(tmp_path, key, value):
+    with pytest.raises(ValidationError, match=key):
+        make_config(tmp_path, **{key: value})
+
+
+def test_config_keeps_json_typed_values(tmp_path):
+    config = make_config(tmp_path, first_improvement=True, restarts=3, cap_nodes=20)
+    assert (config.first_improvement, config.restarts, config.cap_nodes) == (True, 3, 20)
+    assert (config.n_values, config.k_values, config.trials, config.seed) == ((4,), (30,), 20, 99)
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -20,6 +20,8 @@ from mixcut.solvers import (
     _random_balanced_membership,
     climb_trace,
     evaluate,
+    judge,
+    solve,
     solve_exact,
     solve_hillclimb,
     solve_spectral,
@@ -190,6 +192,16 @@ def test_spectral_on_deterministic_instance():
     res = solve_spectral(ds)
     assert evaluate(res, ds)
     assert res.best_weight == cut_weight(build_graph(ds, Metric.HAMMING), res.best_cut)
+    # the weight comes from per-side column sums; it must equal the graph's
+    rng = np.random.default_rng(106)
+    for n_per_side in (1, 2, 3, 5, 8):
+        for _ in range(6):
+            _, ds = random_instance(rng, n_per_side)
+            if np.all(ds.bits == ds.bits[0]):
+                continue
+            for metric in Metric:
+                res = solve_spectral(ds, metric)
+                assert res.best_weight == cut_weight(build_graph(ds, metric), res.best_cut)
 
 
 def test_spectral_balanced_output_and_recorded_rate():
@@ -234,19 +246,12 @@ def test_evaluate_unordered_comparison():
     assert evaluate(misplaced, ds) is False
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba backend unavailable")
-def test_backends_agree(monkeypatch):
-    rng = np.random.default_rng(104)
-    for _ in range(8):
-        _, ds = random_instance(rng, 4)
-        graph = build_graph(ds, Metric.HAMMING)
-        monkeypatch.setenv("MIXCUT_BACKEND", "numba")
-        a = solve_exact(graph)
-        h_a = solve_hillclimb(graph, restarts=3, seed=1)
-        monkeypatch.setenv("MIXCUT_BACKEND", "numpy")
-        b = solve_exact(graph)
-        h_b = solve_hillclimb(graph, restarts=3, seed=1)
-        assert (a.best_weight, a.best_cut, a.tie, a.evaluations) == (
-            b.best_weight, b.best_cut, b.tie, b.evaluations
-        )
-        assert (h_a.best_weight, h_a.best_cut) == (h_b.best_weight, h_b.best_cut)
+def test_judge_refuses_a_truth_that_ties_and_solve_refuses_unknown_methods():
+    ds = sample(MixtureModel(p1=np.zeros(3), p2=np.zeros(3)), 3, 1)
+    graph = build_graph(ds, Metric.HAMMING)  # all-zero: every cut ties the truth
+    settings = dict(restarts=8, seed=0, first_improvement=False, cap_nodes=24)
+    res = solve(graph, ds, "exact", **settings)
+    assert res.best_cut == true_partition(ds) and res.tie
+    assert judge(graph, ds, res) == (0, 0, True, False)
+    with pytest.raises(ValueError, match="anneal"):
+        solve(graph, ds, "anneal", **settings)
