@@ -133,9 +133,15 @@ class BalancedCut:
 
 
 def build_graph(dataset: Dataset, metric: Metric) -> CutGraph:
-    """All pairwise weights under the chosen metric, via one matrix product."""
-    bits = dataset.bits.astype(np.int64)
-    scores = bits @ bits.T
+    """All pairwise weights under the chosen metric, via one matrix product.
+
+    The Gram matrix of shared ones is one float64 BLAS product (numpy has no
+    BLAS kernel for int64), cast back to exact int64 scores.
+    """
+    bits = dataset.bits.astype(np.float64)
+    # Exact: each entry counts shared ones, and every partial sum of the
+    # product is an integer <= K < 2**53, so no float64 step rounds.
+    scores = (bits @ bits.T).astype(np.int64)
     if metric is Metric.SCORE:
         weights = scores.copy()
         np.fill_diagonal(weights, 0)

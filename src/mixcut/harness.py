@@ -63,10 +63,8 @@ PHASE_CSV_HEADER = (
 
 _METHODS = ("exact", "hillclimb", "spectral")
 _METRICS = {"hamming": Metric.HAMMING, "score": Metric.SCORE}
-_CONFIG_KEYS = (
-    "model", "n_values", "k_values", "trials", "method", "metric", "seed",
-    "output", "restarts", "first_improvement", "cap_nodes",
-)
+_REQUIRED_KEYS = ("model", "n_values", "k_values", "trials", "method", "metric", "seed", "output")
+_CONFIG_KEYS = _REQUIRED_KEYS + ("restarts", "first_improvement", "cap_nodes")
 
 
 class ValidationError(ValueError):
@@ -86,6 +84,12 @@ def _json_ints(key: str, values) -> tuple:
     return tuple(_json_int(key, v) for v in values)
 
 
+def _json_str(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"config key {key!r} must be a JSON string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model_source: dict
@@ -102,12 +106,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise ValidationError(f"a config must be a JSON object, got {payload!r}")
         unknown = sorted(set(payload) - set(_CONFIG_KEYS))
         if unknown:
             raise ValidationError(
                 f"unknown config key(s) {', '.join(map(repr, unknown))}; "
                 f"expected keys: {', '.join(_CONFIG_KEYS)}"
             )
+        missing = [key for key in _REQUIRED_KEYS if key not in payload]
+        if missing:
+            raise ValidationError(f"missing config key(s) {', '.join(map(repr, missing))}")
+        if not isinstance(payload["model"], dict):
+            raise ValidationError(f"config key 'model' must be a JSON object, got {payload['model']!r}")
         first_improvement = payload.get("first_improvement", False)
         if not isinstance(first_improvement, bool):
             raise ValidationError(
@@ -118,10 +129,10 @@ class ExperimentConfig:
             n_values=_json_ints("n_values", payload["n_values"]),
             k_values=_json_ints("k_values", payload["k_values"]),
             trials=_json_int("trials", payload["trials"]),
-            method=str(payload["method"]),
-            metric=str(payload["metric"]),
+            method=_json_str("method", payload["method"]),
+            metric=_json_str("metric", payload["metric"]),
             seed=_json_int("seed", payload["seed"]),
-            output=str(payload["output"]),
+            output=_json_str("output", payload["output"]),
             restarts=_json_int("restarts", payload.get("restarts", 8)),
             first_improvement=first_improvement,
             cap_nodes=_json_int("cap_nodes", payload.get("cap_nodes", DEFAULT_ENUMERATION_CAP)),
@@ -137,8 +148,8 @@ class ExperimentConfig:
             raise ValidationError("trials must be >= 1")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ValidationError("all N values must be positive")
+        if not self.n_values or any(n < 4 for n in self.n_values):
+            raise ValidationError("every N in 'n_values' must be >= 4 (the required-K thresholds need N >= 4)")
         if not self.k_values or any(k < 1 for k in self.k_values):
             raise ValidationError("all K values must be positive")
         if self.method not in _METHODS:

@@ -13,14 +13,15 @@ the top of the uncentered spectrum, so the between-population axis is the
 leading direction of the centered matrix.  It weighs its cut from the
 per-side column sums of the bits, without building the graph.
 
-`solve` dispatches on the method name; `judge` scores a result against the
-hidden partition under the strict success rule: the cut must equal the
-partition and no other cut may tie its weight.
+`solve` dispatches on the method name and, under the score metric, has
+exact and hillclimb seek the minimum-score cut; `judge` scores a result
+against the hidden partition under the strict success rule: the cut must
+equal the partition and no other cut may tie its weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,14 +180,26 @@ def solve(
     cap_nodes: int,
 ) -> SolveResult:
     """Run the named solver ("exact", "hillclimb" or "spectral") on the
-    graph of `dataset`; `seed` drives the hill climber's restarts."""
-    if method == "exact":
-        return solve_exact(graph, cap_nodes=cap_nodes)
-    if method == "hillclimb":
-        return solve_hillclimb(graph, restarts=restarts, seed=seed, first_improvement=first_improvement)
+    graph of `dataset`; `seed` drives the hill climber's restarts.
+
+    Under the score metric the estimator is the minimum-score balanced cut,
+    so exact and hillclimb maximise over -W and the weight is negated back.
+    For balanced cuts the Hamming weight is N sum(pop) - 2 (score weight),
+    so every swap gain under -W is half the Hamming one: the cut, the tie
+    flag and the evaluation count match the Hamming run on the same sample.
+    """
     if method == "spectral":
         return solve_spectral(dataset, graph.metric)
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ("exact", "hillclimb"):
+        raise ValueError(f"unknown method {method!r}")
+    minimise = graph.metric is Metric.SCORE
+    if minimise:
+        graph = CutGraph(weights=-graph.weights, metric=graph.metric, n_nodes=graph.n_nodes)
+    if method == "exact":
+        result = solve_exact(graph, cap_nodes=cap_nodes)
+    else:
+        result = solve_hillclimb(graph, restarts=restarts, seed=seed, first_improvement=first_improvement)
+    return replace(result, best_weight=-result.best_weight) if minimise else result
 
 
 def judge(graph: CutGraph, dataset: Dataset, result: SolveResult):

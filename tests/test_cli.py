@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -159,8 +162,11 @@ def test_phase_unknown_config_key_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "phase.csv").exists()
 
 
-@pytest.mark.parametrize("key, value", [("restarts", 0), ("first_improvement", "false")])
-def test_phase_bad_config_value_is_refused_before_any_trial(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key, value", [
+    ("restarts", 0), ("first_improvement", "false"), ("n_values", [3]), ("output", 7),
+])
+def test_phase_bad_config_value_is_refused_before_any_trial(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)  # a refused "output": 7 must not leave a file named 7
     config = {
         "model": {"constant_gap": {"gamma": 0.25}},
         "n_values": [4],
@@ -169,13 +175,30 @@ def test_phase_bad_config_value_is_refused_before_any_trial(tmp_path, capsys, ke
         "method": "hillclimb",
         "metric": "hamming",
         "seed": 5,
-        key: value,
+        "output": str(tmp_path / "phase.csv"),
+    }
+    config[key] = value
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, stderr = run_cli(capsys, "phase", "--config", str(cfg_path))
+    assert code == 2 and "refused:" in stderr and key in stderr
+    assert not (tmp_path / "phase.csv").exists() and not (tmp_path / "7").exists()
+
+
+def test_phase_config_missing_a_required_key_is_refused_by_name(tmp_path, capsys):
+    config = {
+        "model": {"constant_gap": {"gamma": 0.25}},
+        "n_values": [4],
+        "k_values": [10],
+        "method": "exact",
+        "metric": "hamming",
+        "seed": 5,
         "output": str(tmp_path / "phase.csv"),
     }
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(config))
     code, _, stderr = run_cli(capsys, "phase", "--config", str(cfg_path))
-    assert code == 2 and "refused:" in stderr and key in stderr
+    assert code == 2 and "refused: missing config key(s) 'trials'" in stderr
     assert not (tmp_path / "phase.csv").exists()
 
 
@@ -198,16 +221,18 @@ def test_phase_readme_example_config_csv_is_pinned(tmp_path, capsys):
     assert digest == "62d68a7d3e46fd1acb1e55fe1545ff3721d3d9ad82e1aad48025de9c6b74e129"
 
 
-# `mixcut solve --n 5 --seed 11` on the model `gen --gap-gamma 0.25 --k 40`
+# `mixcut solve --n 5 --seed 11` on the model `gen --gap-gamma 0.25 --k 40`;
+# under score, exact and hillclimb find the minimum-score cut, which is the
+# Hamming maximum (same side_s, tie and evaluations)
 _SOLVE_GOLDEN = {
     ("exact", "hamming"):
         '{"success": true, "method": "exact", "metric": "hamming", "best_weight": 638, "true_weight": 638, "L": 0, "tie": false, "evaluations": 126, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 1, 2, 3, 4]}',
     ("exact", "score"):
-        '{"success": false, "method": "exact", "metric": "score", "best_weight": 235, "true_weight": 166, "L": 2, "tie": true, "evaluations": 126, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 3, 4, 6, 8]}',
+        '{"success": true, "method": "exact", "metric": "score", "best_weight": 166, "true_weight": 166, "L": 0, "tie": false, "evaluations": 126, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 1, 2, 3, 4]}',
     ("hillclimb", "hamming"):
         '{"success": true, "method": "hillclimb", "metric": "hamming", "best_weight": 638, "true_weight": 638, "L": 0, "tie": false, "evaluations": 583, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 1, 2, 3, 4]}',
     ("hillclimb", "score"):
-        '{"success": false, "method": "hillclimb", "metric": "score", "best_weight": 235, "true_weight": 166, "L": 2, "tie": true, "evaluations": 458, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 3, 4, 6, 9]}',
+        '{"success": true, "method": "hillclimb", "metric": "score", "best_weight": 166, "true_weight": 166, "L": 0, "tie": false, "evaluations": 583, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 1, 2, 3, 4]}',
     ("spectral", "hamming"):
         '{"success": true, "method": "spectral", "metric": "hamming", "best_weight": 638, "true_weight": 638, "L": 0, "tie": false, "evaluations": 1, "gamma": 0.25, "n": 5, "k": 40, "seed": 11, "side_s": [0, 1, 2, 3, 4]}',
     ("spectral", "score"):
@@ -240,3 +265,20 @@ def test_verify_emits_all_five_check_families(capsys):
     assert "imbalance_tail_t0" in stdout
     assert "delta_event_rate" in stdout
     assert "PASS" in stdout
+
+
+def test_python_dash_m_mixcut_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = tmp_path / "m.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixcut", "gen", "--gap-gamma", "0.25", "--k", "40", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote {out}: K=40 gamma=0.25\n"
+    usage = subprocess.run(
+        [sys.executable, "-m", "mixcut", "bogus"], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert usage.returncode == 1 and "usage: mixcut" in usage.stderr

@@ -19,7 +19,7 @@ from mixcut.graph import (
     swap_imbalance,
     true_partition,
 )
-from mixcut.model import MixtureModel, constant_gap_mixture, divergence, sample
+from mixcut.model import Dataset, MixtureModel, constant_gap_mixture, divergence, sample
 
 from oracles import cut_weight_brute, four_term_diff, hamming_brute, random_instance, score_brute
 
@@ -84,6 +84,42 @@ def test_build_graph_entries_match_bit_recomputation():
                 continue
             assert ws[i, j] == score_brute(ds.bits[i], ds.bits[j])
             assert wh[i, j] == int(ds.bits[i].sum()) + int(ds.bits[j].sum()) - 2 * ws[i, j]
+
+
+def _dataset_from_bits(bits):
+    n = bits.shape[0] // 2
+    return Dataset(bits=bits, labels=np.repeat([1, 2], n), n_per_side=n, seed=0)
+
+
+def _int64_reference_weights(bits, metric):
+    b = bits.astype(np.int64)
+    scores = b @ b.T
+    pop = b.sum(axis=1)
+    w = scores if metric is Metric.SCORE else pop[:, None] + pop[None, :] - 2 * scores
+    np.fill_diagonal(w, 0)
+    return w
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_build_graph_is_exact_at_benchmark_size(metric):
+    bits = np.random.default_rng(8).integers(0, 2, size=(256, 2000), dtype=np.uint8)
+    graph = build_graph(_dataset_from_bits(bits), metric)
+    assert graph.weights.dtype == np.int64 and not graph.weights.flags.writeable
+    assert np.array_equal(graph.weights, _int64_reference_weights(bits, metric))
+
+
+def test_build_graph_is_exact_on_all_ones_rows_at_large_k():
+    k = 100_000
+    ds = _dataset_from_bits(np.ones((8, k), dtype=np.uint8))
+    ws = build_graph(ds, Metric.SCORE).weights
+    wh = build_graph(ds, Metric.HAMMING).weights
+    assert ws.dtype == wh.dtype == np.int64
+    assert not ws.flags.writeable and not wh.flags.writeable
+    off = ~np.eye(8, dtype=bool)
+    assert np.all(ws[off] == k) and np.all(np.diag(ws) == 0)
+    assert np.all(wh == 0)
+    for metric, w in ((Metric.SCORE, ws), (Metric.HAMMING, wh)):
+        assert np.array_equal(w, _int64_reference_weights(ds.bits, metric))
 
 
 def test_cut_weight_examples():

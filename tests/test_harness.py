@@ -90,6 +90,8 @@ def test_config_validation_errors(tmp_path):
         make_config(tmp_path, metric="cosine").validate()
     with pytest.raises(ValidationError):
         make_config(tmp_path, k_values=[0]).validate()
+    with pytest.raises(ValidationError, match="n_values.*>= 4"):
+        make_config(tmp_path, n_values=[4, 3]).validate()
     with pytest.raises(ValidationError, match="restarts"):
         make_config(tmp_path, method="hillclimb", restarts=0).validate()
     # hillclimb cells are not subject to the enumeration cap
@@ -110,10 +112,26 @@ def test_config_validation_errors(tmp_path):
     ("n_values", 4),
     ("k_values", ["30"]),
     ("k_values", [True]),
+    ("method", 7),
+    ("metric", None),
+    ("output", 7),
+    ("model", "figure1"),
 ])
 def test_config_refuses_values_of_the_wrong_json_type(tmp_path, key, value):
     with pytest.raises(ValidationError, match=key):
         make_config(tmp_path, **{key: value})
+
+
+@pytest.mark.parametrize("key", ["model", "n_values", "k_values", "trials", "method", "metric", "seed", "output"])
+def test_config_refuses_a_missing_required_key_by_name(tmp_path, key):
+    payload = {
+        "model": {"constant_gap": {"gamma": 0.25}}, "n_values": [4], "k_values": [30],
+        "trials": 20, "method": "exact", "metric": "hamming", "seed": 99,
+        "output": str(tmp_path / "phase.csv"),
+    }
+    del payload[key]
+    with pytest.raises(ValidationError, match=f"missing config key.*'{key}'"):
+        ExperimentConfig.from_dict(payload)
 
 
 def test_config_keeps_json_typed_values(tmp_path):
@@ -126,6 +144,8 @@ def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValidationError, match="'restart'"):
         make_config(tmp_path, restart=32)  # typo of "restarts"
     assert make_config(tmp_path, restarts=32, method="hillclimb").restarts == 32
+    with pytest.raises(ValidationError, match="JSON object"):
+        ExperimentConfig.from_dict(["model", "trials"])
 
 
 def test_worker_count_rejects_non_integer_thread_setting(monkeypatch):

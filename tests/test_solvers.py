@@ -255,3 +255,30 @@ def test_judge_refuses_a_truth_that_ties_and_solve_refuses_unknown_methods():
     assert judge(graph, ds, res) == (0, 0, True, False)
     with pytest.raises(ValueError, match="anneal"):
         solve(graph, ds, "anneal", **settings)
+
+
+@pytest.mark.parametrize("method, first_improvement", [
+    ("exact", False), ("hillclimb", False), ("hillclimb", True),
+])
+def test_score_metric_solves_the_minimum_score_cut_as_hamming_solves_the_maximum(method, first_improvement):
+    rng = np.random.default_rng(404)
+    settings = dict(restarts=4, seed=17, first_improvement=first_improvement, cap_nodes=24)
+    ties = 0
+    for n_per_side in (2, 3, 4, 5, 6):
+        for k in (3, 12, 40):
+            _, ds = random_instance(rng, n_per_side, k_lo=k, k_hi=k)
+            g_score, g_ham = build_graph(ds, Metric.SCORE), build_graph(ds, Metric.HAMMING)
+            rs = solve(g_score, ds, method, **settings)
+            rh = solve(g_ham, ds, method, **settings)
+            assert (rs.best_cut, rs.tie, rs.evaluations) == (rh.best_cut, rh.tie, rh.evaluations)
+            assert judge(g_score, ds, rs)[1] == judge(g_ham, ds, rh)[1]
+            pop = int(ds.bits.sum())
+            assert rh.best_weight == n_per_side * pop - 2 * rs.best_weight
+            assert rs.best_weight == cut_weight(g_score, rs.best_cut)
+            if method == "exact":
+                w, side, tie = naive_extreme_balanced_cut(g_score.weights, maximize=False)
+                assert (rs.best_weight, rs.tie) == (w, tie)
+                assert tie or rs.best_cut.side_s == side
+                ties += tie
+    if method == "exact":
+        assert ties >= 1  # the tie flag is compared, not only the cut
