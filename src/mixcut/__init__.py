@@ -46,7 +46,6 @@ from .solvers import (
     DegenerateInstanceError,
     EnumerationCapError,
     SolveResult,
-    evaluate,
     solve_exact,
     solve_hillclimb,
     solve_spectral,

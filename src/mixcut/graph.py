@@ -11,6 +11,10 @@ A balanced cut splits the 2N nodes into two sides of N; cuts are stored in
 canonical form with node 0 on side_s, so each unordered bipartition has one
 representative.  The swap distance L between two cuts is the number of nodes
 per side that changed sides (after mirroring), L in [0, N/2].
+
+`diff_node` and `score_cut_weight` also take stacks of rows or datasets
+(extra leading axes), so the concentration checks evaluate many draws with
+one call to the same formula.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "hamming",
     "build_graph",
     "cut_weight",
+    "score_cut_weight",
     "diff_node",
     "diff_cut",
     "swap_count",
@@ -163,20 +168,32 @@ def cut_weight(graph: CutGraph, cut: BalancedCut) -> int:
     return int(sub.sum())
 
 
-def diff_node(z, model: MixtureModel, origin: int) -> float:
-    """Expected score gap of one sample toward its own vs the other center.
+def score_cut_weight(bits: np.ndarray, side_s, side_sbar):
+    """Score-graph weight of the cut (side_s, side_sbar) over the rows of
+    `bits`, without building the graph: the sum of <x, y> over crossing
+    pairs is (sum of the side_s rows) . (sum of the side_sbar rows), in
+    exact integers.  `bits` is one 2N x K dataset, giving an int, or a stack
+    of shape (..., 2N, K), giving an int64 array of shape (...)."""
+    a = bits[..., side_s, :].sum(axis=-2, dtype=np.int64)
+    b = bits[..., side_sbar, :].sum(axis=-2, dtype=np.int64)
+    weight = (a * b).sum(axis=-1)
+    return int(weight) if weight.ndim == 0 else weight
+
+
+def diff_node(z, model: MixtureModel, origin: int):
+    """Expected score gap of a sample toward its own vs the other center.
 
     For a row z of origin 1 this is sum_k z^k (p1^k - p2^k); origin 2 flips
-    the sign of the gap.
+    the sign of the gap.  `z` is one row of shape (K,), giving a float, or a
+    stack of rows of shape (..., K), giving an array of shape (...).
     """
-    za = _as_bits(z)
-    if za.shape != model.p1.shape:
+    za = np.asarray(z, dtype=np.float64)
+    if za.shape[-1:] != model.p1.shape:
         raise ValueError("bit vector length must equal the model dimension")
-    if origin == 1:
-        return float(za @ (model.p1 - model.p2))
-    if origin == 2:
-        return float(za @ (model.p2 - model.p1))
-    raise ValueError("origin must be 1 or 2")
+    if origin not in (1, 2):
+        raise ValueError("origin must be 1 or 2")
+    gap = za @ (model.p1 - model.p2 if origin == 1 else model.p2 - model.p1)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def diff_cut(graph: CutGraph, reference: BalancedCut, other: BalancedCut) -> int:

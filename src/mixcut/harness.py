@@ -10,11 +10,17 @@ output).
 Each trial goes through `solvers.solve` and `solvers.judge`: a success
 needs the solver's cut to equal the hidden partition AND no other cut to
 tie its weight; ties involving the true partition are tallied separately.
+
+The concentration checks draw their Bernoulli samples here and take every
+closed-form quantity from its owner: `graph.diff_node` and
+`theory.is_bad_node` on stacks of rows, `graph.score_cut_weight` on a stack
+of datasets, `theory.bad_node_threshold_k` and `theory.rho2_standin`.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Metric, build_graph
+from .graph import Metric, build_graph, diff_node, score_cut_weight
 from .model import (
     MixtureModel,
     constant_gap_mixture,
@@ -35,7 +41,7 @@ from .model import (
     sample,
 )
 from .solvers import DEFAULT_ENUMERATION_CAP, EnumerationCapError, judge, solve
-from .theory import delta, required_k
+from .theory import bad_node_threshold_k, delta, is_bad_node, required_k, rho2_standin
 
 __all__ = [
     "ValidationError",
@@ -65,6 +71,7 @@ _METHODS = ("exact", "hillclimb", "spectral")
 _METRICS = {"hamming": Metric.HAMMING, "score": Metric.SCORE}
 _REQUIRED_KEYS = ("model", "n_values", "k_values", "trials", "method", "metric", "seed", "output")
 _CONFIG_KEYS = _REQUIRED_KEYS + ("restarts", "first_improvement", "cap_nodes")
+_MODEL_GENERATORS = {"figure1": figure1_mixture, "constant_gap": constant_gap_mixture}
 
 
 class ValidationError(ValueError):
@@ -199,21 +206,46 @@ class CellAggregate:
 
 
 def resolve_model(model_source: dict, k: int) -> MixtureModel:
-    """Instantiate the configured model at dimension count k."""
-    if "file" in model_source:
-        model = load_model(model_source["file"])
+    """Instantiate the configured model at dimension count k.
+
+    `model_source` names exactly one source: {"file": path}, or a generator
+    ("figure1" or "constant_gap") with a JSON object of its numeric keyword
+    parameters.  Anything else is refused before a model is built, naming
+    the offending key.
+    """
+    sources = ("file",) + tuple(_MODEL_GENERATORS)
+    if len(model_source) != 1 or not set(model_source) <= set(sources):
+        named = ", ".join(map(repr, model_source)) or "none"
+        raise ValidationError(f"model needs exactly one of the keys {', '.join(sources)}; got {named}")
+    (source, params), = model_source.items()
+    if source == "file":
+        if not isinstance(params, str):
+            raise ValidationError(f"model key 'file' must be a JSON string path, got {params!r}")
+        model = load_model(params)
         if model.k != k:
             raise ValidationError(
                 f"model file has K={model.k} but the cell requests K={k}"
             )
         return model
-    if "figure1" in model_source:
-        params = dict(model_source["figure1"] or {})
-        return figure1_mixture(k, **params)
-    if "constant_gap" in model_source:
-        params = dict(model_source["constant_gap"])
-        return constant_gap_mixture(k, **params)
-    raise ValidationError("model source needs one of: file, figure1, constant_gap")
+    if not isinstance(params, dict):
+        raise ValidationError(f"model key {source!r} must be a JSON object of parameters, got {params!r}")
+    generator = _MODEL_GENERATORS[source]
+    signature = inspect.signature(generator)
+    accepted = list(signature.parameters)[1:]  # every parameter after k
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValidationError(
+            f"unknown model parameter(s) {', '.join(map(repr, unknown))} for {source!r}; "
+            f"expected: {', '.join(accepted)}"
+        )
+    try:
+        signature.bind(k, **params)
+    except TypeError as exc:
+        raise ValidationError(f"model key {source!r}: {exc}") from None
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"model parameter {source}.{name} must be a JSON number, got {value!r}")
+    return generator(k, **params)
 
 
 def _checked_model(model_source: dict, k: int) -> MixtureModel:
@@ -424,25 +456,19 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _draw_bits(rng, count, p):
-    return (rng.random((count, p.size)) < p).astype(np.int8)
+def _draw(rng, lead: tuple, p: np.ndarray) -> np.ndarray:
+    """Bernoulli bits of shape lead + p.shape: bit [..., j] is set with
+    probability p[j]."""
+    return rng.random(lead + p.shape) < p
 
 
-def _check_pair_gap_mean(cfg: VerifyConfig, gamma: float) -> CheckResult:
-    """Mean of diff(X) + diff(Y) over independent pairs vs K gamma."""
-    p1, p2 = cfg.model.p1, cfg.model.p2
-    rng = _rng(cfg.seed, 1)
-    m = cfg.pairs
-    gaps = p1 - p2
-    dx = _draw_bits(rng, m, p1).astype(np.float64) @ gaps
-    dy = _draw_bits(rng, m, p2).astype(np.float64) @ (-gaps)
-    s = dx + dy
-    mean = float(s.mean())
-    se = float(s.std(ddof=1) / math.sqrt(m))
-    target = cfg.model.k * gamma
+def _mean_check(name: str, statistic: str, target: float, samples: np.ndarray) -> CheckResult:
+    """Passes when the sample mean lies within 3 standard errors of target."""
+    mean = float(samples.mean())
+    se = float(samples.std(ddof=1) / math.sqrt(samples.size))
     return CheckResult(
-        name="pair_gap_mean",
-        statistic=f"mean diff(X)+diff(Y), {m} pairs",
+        name=name,
+        statistic=statistic,
         target=target,
         empirical=mean,
         tolerance=f"3 SE = {3 * se:.4g}",
@@ -450,52 +476,45 @@ def _check_pair_gap_mean(cfg: VerifyConfig, gamma: float) -> CheckResult:
     )
 
 
+def _check_pair_gap_mean(cfg: VerifyConfig, gamma: float) -> CheckResult:
+    """Mean of diff(X) + diff(Y) over independent pairs vs K gamma."""
+    model, m = cfg.model, cfg.pairs
+    rng = _rng(cfg.seed, 1)
+    dx = diff_node(_draw(rng, (m,), model.p1), model, 1)
+    dy = diff_node(_draw(rng, (m,), model.p2), model, 2)
+    return _mean_check("pair_gap_mean", f"mean diff(X)+diff(Y), {m} pairs", model.k * gamma, dx + dy)
+
+
 def _check_cut_gap_mean(cfg: VerifyConfig, gamma: float, l: int) -> CheckResult:
     """Mean cut-score difference for a fixed L-swap cut over resampled
-    datasets vs (N-L) L K gamma."""
-    n, k = cfg.n, cfg.model.k
-    p1, p2 = cfg.model.p1, cfg.model.p2
-    m = cfg.cut_samples
+    datasets vs (N-L) L K gamma.  The truth cut puts rows 0..N-1 on side_s;
+    the L-swap cut trades rows N-L..N-1 for rows 2N-L..2N-1."""
+    n, k, m = cfg.n, cfg.model.k, cfg.cut_samples
     rng = _rng(cfg.seed, 2, l)
-    probs = np.concatenate([np.tile(p1, n), np.tile(p2, n)]).reshape(2 * n, k)
-    bits = (rng.random((m, 2 * n, k)) < probs).astype(np.int64)
-    scores = np.einsum("mik,mjk->mij", bits, bits)
-    truth_s = np.arange(n)
+    probs = np.concatenate([np.tile(cfg.model.p1, n), np.tile(cfg.model.p2, n)]).reshape(2 * n, k)
+    bits = _draw(rng, (m,), probs)
+    w_truth = score_cut_weight(bits, np.arange(n), np.arange(n, 2 * n))
     other_s = np.concatenate([np.arange(n - l), np.arange(2 * n - l, 2 * n)])
-    all_nodes = np.arange(2 * n)
-    truth_sbar = np.setdiff1d(all_nodes, truth_s)
-    other_sbar = np.setdiff1d(all_nodes, other_s)
-    w_truth = scores[:, truth_s][:, :, truth_sbar].sum(axis=(1, 2))
-    w_other = scores[:, other_s][:, :, other_sbar].sum(axis=(1, 2))
-    diff = (w_other - w_truth).astype(np.float64)
-    mean = float(diff.mean())
-    se = float(diff.std(ddof=1) / math.sqrt(m))
-    target = (n - l) * l * k * gamma
-    return CheckResult(
-        name=f"cut_gap_mean_L{l}",
-        statistic=f"mean score(S,Sbar)-score(T), N={n} L={l}, {m} datasets",
-        target=target,
-        empirical=mean,
-        tolerance=f"3 SE = {3 * se:.4g}",
-        passed=abs(mean - target) <= 3 * se,
+    w_other = score_cut_weight(bits, other_s, np.arange(n - l, 2 * n - l))
+    return _mean_check(
+        f"cut_gap_mean_L{l}",
+        f"mean score(S,Sbar)-score(T), N={n} L={l}, {m} datasets",
+        (n - l) * l * k * gamma,
+        (w_other - w_truth).astype(np.float64),
     )
 
 
 def _check_bad_node_rate(cfg: VerifyConfig, gamma: float) -> CheckResult:
     """Frequency of nodes whose score gap drops K gamma / 4 below its
     expectation, vs tau under the K >= 8 ln(1/tau)/gamma hypothesis."""
-    p1, p2 = cfg.model.p1, cfg.model.p2
-    k = cfg.model.k
-    kg = k * gamma
-    threshold_k = 8.0 * math.log(1.0 / cfg.tau) / gamma
+    model, k = cfg.model, cfg.model.k
+    threshold_k = bad_node_threshold_k(cfg.tau, gamma)
     rng = _rng(cfg.seed, 3)
     half = cfg.node_draws // 2
-    gaps = p1 - p2
-    d1 = _draw_bits(rng, half, p1).astype(np.float64) @ gaps
-    d2 = _draw_bits(rng, half, p2).astype(np.float64) @ (-gaps)
-    eta1 = float(p1 @ gaps)
-    eta2 = kg - eta1
-    bad = np.concatenate([d1 < eta1 - kg / 4.0, d2 < eta2 - kg / 4.0])
+    bad = np.concatenate([
+        is_bad_node(_draw(rng, (half,), model.p1), model, 1),
+        is_bad_node(_draw(rng, (half,), model.p2), model, 2),
+    ])
     freq = float(bad.mean())
     m = bad.size
     slack = 3.0 * math.sqrt(cfg.tau * (1 - cfg.tau) / m)
@@ -507,7 +526,7 @@ def _check_bad_node_rate(cfg: VerifyConfig, gamma: float) -> CheckResult:
         empirical=freq,
         tolerance=f"tau + 3 binomial SE = {cfg.tau + slack:.4g}",
         passed=(freq <= cfg.tau + slack) if met else None,
-        note="" if met else f"hypothesis unmet: K={k} < {threshold_k:.1f}",
+        note="" if met else f"hypothesis unmet: K={k} < {threshold_k}",
     )
 
 
@@ -515,13 +534,12 @@ def _imbalance_deviations(cfg: VerifyConfig, key: int):
     """|t_k| samples: per-dimension swap-imbalance deviations over draws of
     the two swapped groups, scaled by sqrt(L)."""
     p1, p2 = cfg.model.p1, cfg.model.p2
-    l, m, k = cfg.imbalance_l, cfg.imbalance_draws, cfg.model.k
+    l, m = cfg.imbalance_l, cfg.imbalance_draws
     rng = _rng(cfg.seed, key)
-    u = (rng.random((m, l, k)) < p1).astype(np.int64).sum(axis=1)
-    v = (rng.random((m, l, k)) < p2).astype(np.int64).sum(axis=1)
-    f2 = u - v
+    u = _draw(rng, (m, l), p1).sum(axis=1, dtype=np.int64)
+    v = _draw(rng, (m, l), p2).sum(axis=1, dtype=np.int64)
     expected = l * (p1 - p2)
-    return np.abs(f2 - expected) / math.sqrt(l)
+    return np.abs(u - v - expected) / math.sqrt(l)
 
 
 def _check_imbalance_tail(cfg: VerifyConfig) -> list:
@@ -560,7 +578,7 @@ def _check_delta_event_rate(cfg: VerifyConfig) -> CheckResult:
     m = dev.shape[0]
     budget = delta(cfg.n, cfg.model.k)
     freq = float((np.sum(dev * dev, axis=1) >= budget).mean())
-    standin = math.exp(-2.0 * cfg.n * math.log(2.0) - 1.5 * math.log(cfg.n))
+    standin = rho2_standin(cfg.n)
     return CheckResult(
         name="delta_event_rate",
         statistic=f"freq(sum t_k^2 >= {budget:.4g}), {m} draws",
@@ -578,6 +596,13 @@ def verify_concentration(cfg: VerifyConfig) -> ConcentrationReport:
         raise ValidationError("verification needs gamma > 0")
     if cfg.n < 4:
         raise ValidationError("verification needs N >= 4 (deviation budget)")
+    if not 0.0 < cfg.tau < 1.0:
+        raise ValidationError(f"verification needs 0 < tau < 1, got tau={cfg.tau}")
+    # two samples for a standard error; node_draws splits into two halves
+    for name, least in (("pairs", 2), ("cut_samples", 2), ("node_draws", 2),
+                        ("imbalance_draws", 1), ("imbalance_l", 1)):
+        if getattr(cfg, name) < least:
+            raise ValidationError(f"verification needs {name} >= {least}, got {name}={getattr(cfg, name)}")
     for l in cfg.l_grid:
         if l < 1 or 2 * l > cfg.n:
             raise ValidationError("each L must satisfy 1 <= L <= N/2")

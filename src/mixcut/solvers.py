@@ -10,8 +10,8 @@ baseline centers the bit matrix by its global column means and splits the
 nodes on the leading left singular vector:
 centering removes the all-samples mean direction, which otherwise occupies
 the top of the uncentered spectrum, so the between-population axis is the
-leading direction of the centered matrix.  It weighs its cut from the
-per-side column sums of the bits, without building the graph.
+leading direction of the centered matrix.  It weighs its cut with
+`graph.score_cut_weight`, without building the graph.
 
 `solve` dispatches on the method name and, under the score metric, has
 exact and hillclimb seek the minimum-score cut; `judge` scores a result
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .graph import BalancedCut, CutGraph, Metric, cut_weight, swap_count, true_partition
+from .graph import BalancedCut, CutGraph, Metric, cut_weight, score_cut_weight, swap_count, true_partition
 from .model import Dataset
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "solve_spectral",
     "solve",
     "judge",
-    "evaluate",
-    "climb_trace",
 ]
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -133,20 +131,14 @@ def solve_hillclimb(
     )
 
 
-def climb_trace(graph: CutGraph, start: BalancedCut, first_improvement: bool = False):
-    """Weights after each accepted swap of a single climb (for inspection)."""
-    w, m, _evals, trace = kernels.hillclimb_sweep(graph.weights, start.membership(), first_improvement)
-    return trace, w, BalancedCut.from_membership(m)
-
-
 def solve_spectral(dataset: Dataset, metric: Metric = Metric.HAMMING) -> SolveResult:
     """Split on the leading left singular vector of the centered bit matrix.
 
     The top N nodes by singular-vector value form side_s; a global sign flip
     only mirrors the bipartition, so the result is sign-invariant.  The
-    returned weight is the cut's weight under `metric`, from the per-side
-    column sums a and b of the bits: a.b under score, and
-    N (sum a + sum b) - 2 a.b under Hamming (exact integers).
+    returned weight is the cut's weight under `metric`, without the graph:
+    `score_cut_weight` under score, and N (number of ones) - 2 (score
+    weight) under Hamming (exact integers).
     """
     bits = dataset.bits.astype(np.float64)
     if np.all(dataset.bits == dataset.bits[0]):
@@ -156,11 +148,9 @@ def solve_spectral(dataset: Dataset, metric: Metric = Metric.HAMMING) -> SolveRe
     lead = u[:, 0]
     order = np.argsort(-lead, kind="stable")
     n = dataset.n_per_side
-    a = dataset.bits[order[:n]].sum(axis=0, dtype=np.int64)
-    b = dataset.bits[order[n:]].sum(axis=0, dtype=np.int64)
-    weight = int(a @ b)
+    weight = score_cut_weight(dataset.bits, order[:n], order[n:])
     if metric is not Metric.SCORE:
-        weight = n * int(a.sum() + b.sum()) - 2 * weight
+        weight = n * int(np.count_nonzero(dataset.bits)) - 2 * weight
     return SolveResult(
         best_cut=BalancedCut.from_side(order[:n].tolist(), dataset.n_nodes),
         best_weight=weight,
@@ -215,12 +205,3 @@ def judge(graph: CutGraph, dataset: Dataset, result: SolveResult):
     tie_with_truth = result.tie and true_weight == result.best_weight
     return true_weight, l_from_truth, tie_with_truth, l_from_truth == 0 and not tie_with_truth
 
-
-def evaluate(result: SolveResult, dataset: Dataset) -> bool:
-    """True iff the solved cut equals the label-induced bipartition
-    (unordered comparison)."""
-    if result.best_cut.n_nodes != dataset.n_nodes:
-        raise ValueError("result and dataset node counts differ")
-    truth = true_partition(dataset)
-    got = set(result.best_cut.side_s)
-    return got == set(truth.side_s) or got == set(truth.side_sbar)

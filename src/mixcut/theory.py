@@ -9,7 +9,11 @@ divergence gamma and swap count L:
 * per-cut score bound   rho3_L = 2 / N^(4L)
 * simultaneous-deviation bound rho2: only an order bound exists,
   O(1 / (2^(2N) poly(N))); the concrete stand-in 1 / (2^(2N) N^(3/2)) is
-  reported alongside, labeled as such.
+  reported alongside, labeled as such (`rho2_standin`).
+* expected node gaps    eta1 = p1 . (p1 - p2) and eta2 = K gamma - eta1; a
+  node is bad when its score gap falls K gamma / 4 below its origin's eta,
+  and the bad-node tail stays under tau once K >= 8 ln(1/tau) / gamma.
+  `is_bad_node` takes one row or a stack of rows.
 * required-K thresholds with the three regime cases and their constants
   (1488 / 512+2000 / 188), plus the global prerequisite 256 ln N / gamma.
 
@@ -46,6 +50,8 @@ __all__ = [
     "sigma_sq_bound",
     "required_k",
     "failure_budget",
+    "rho2_standin",
+    "expected_gaps",
     "is_bad_node",
     "bad_node_threshold_k",
     "hoeffding_tail",
@@ -190,6 +196,11 @@ class BoundReport:
     union_bound_total: float
 
 
+def rho2_standin(n: int) -> float:
+    """Concrete stand-in 1 / (2^(2N) N^(3/2)) for the order-only rho2 bound."""
+    return math.exp(-2.0 * n * _LN2 - 1.5 * math.log(n))
+
+
 def failure_budget(n: int, k: int, gamma: float) -> BoundReport:
     """Union-bound failure budget rho1 + rho2 term + binomial-weighted rho3
     sum, with per-condition hypothesis flags.
@@ -216,7 +227,6 @@ def failure_budget(n: int, k: int, gamma: float) -> BoundReport:
     sigma_sq = tuple(sigma_sq_bound(n, l, k, gamma, dlt) for l in range(1, half + 1))
     rho1 = _power_ratio(2.0 * n, 32)
     rho3 = tuple(_power_ratio(2.0, 4 * l) for l in range(1, half + 1))
-    rho2_standin = math.exp(-2.0 * n * _LN2 - 1.5 * ln_n)
 
     corr2 = math.exp(math.log(2.0 * half) - 32.0 * ln_n)
     # 2^(2N) cancels against the stand-in inside the log, leaving N^(-3/2)
@@ -258,7 +268,7 @@ def failure_budget(n: int, k: int, gamma: float) -> BoundReport:
         sigma_sq=sigma_sq,
         rho1=rho1,
         rho2_order="O(1/(2^(2N) poly(N)))",
-        rho2_standin=rho2_standin,
+        rho2_standin=rho2_standin(n),
         rho3=rho3,
         required_k=rk,
         satisfied=satisfied,
@@ -281,25 +291,26 @@ class TheoryContext:
 
     @classmethod
     def from_model(cls, model: MixtureModel, n: int) -> "TheoryContext":
-        gamma = divergence(model)
-        eta1 = float(model.p1 @ (model.p1 - model.p2))
-        kg = model.k * gamma
-        if eta1 >= kg / 2.0:
-            return cls(n=n, k=model.k, gamma=gamma, eta=eta1, swapped=False)
-        return cls(n=n, k=model.k, gamma=gamma, eta=kg - eta1, swapped=True)
+        eta1, eta2 = expected_gaps(model)
+        return cls(n=n, k=model.k, gamma=divergence(model), eta=max(eta1, eta2), swapped=eta2 > eta1)
 
 
-def is_bad_node(z, model: MixtureModel, origin: int) -> bool:
+def expected_gaps(model: MixtureModel) -> tuple:
+    """(eta1, eta2): the expected score gap `diff_node` of a node of origin
+    1 and of origin 2.  eta1 = p1 . (p1 - p2), and eta2 = K gamma - eta1,
+    since the two sum to sum_k (p1^k - p2^k)^2 = K gamma."""
+    eta1 = float(model.p1 @ (model.p1 - model.p2))
+    return eta1, model.k * divergence(model) - eta1
+
+
+def is_bad_node(z, model: MixtureModel, origin: int):
     """True iff the node's score gap falls more than K gamma / 4 below its
     origin's expectation (strict inequality, so identical centers never
-    produce bad nodes)."""
+    produce bad nodes).  `z` is one row of shape (K,), giving a bool, or a
+    stack of rows of shape (..., K), giving a bool array of shape (...)."""
     gap = diff_node(z, model, origin)
-    if origin == 1:
-        expectation = float(model.p1 @ (model.p1 - model.p2))
-    else:
-        expectation = float(model.p2 @ (model.p2 - model.p1))
     kg = model.k * divergence(model)
-    return gap < expectation - kg / 4.0
+    return gap < expected_gaps(model)[origin - 1] - kg / 4.0
 
 
 def bad_node_threshold_k(tau: float, gamma: float) -> int:

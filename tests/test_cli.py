@@ -164,6 +164,9 @@ def test_phase_unknown_config_key_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("restarts", 0), ("first_improvement", "false"), ("n_values", [3]), ("output", 7),
+    ("model", {"constant_gap": {"gama": 0.25}}), ("model", {"constant_gap": [0.25]}),
+    ("model", {"constant_gap": {"gamma": "0.25"}}), ("model", {"constant_gap": {"gamma": 0.25}, "figure1": {}}),
+    ("model", {"file": 3}),
 ])
 def test_phase_bad_config_value_is_refused_before_any_trial(tmp_path, capsys, monkeypatch, key, value):
     monkeypatch.chdir(tmp_path)  # a refused "output": 7 must not leave a file named 7
@@ -265,6 +268,16 @@ def test_verify_emits_all_five_check_families(capsys):
     assert "imbalance_tail_t0" in stdout
     assert "delta_event_rate" in stdout
     assert "PASS" in stdout
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tau", "0"), ("--tau", "1.5"), ("--node-draws", "1"), ("--imbalance-draws", "0"),
+    ("--pairs", "1"), ("--cut-samples", "1"), ("--imbalance-l", "0"),
+])
+def test_verify_refuses_an_out_of_range_size(capsys, flag, value):
+    code, stdout, stderr = run_cli(capsys, "verify", "--gap-gamma", "0.2", flag, value)
+    assert code == 2 and stdout == ""
+    assert "refused:" in stderr and flag[2:].replace("-", "_") in stderr
 
 
 def test_python_dash_m_mixcut_runs_the_cli(tmp_path):

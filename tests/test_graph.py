@@ -15,6 +15,7 @@ from mixcut.graph import (
     diff_node,
     hamming,
     score,
+    score_cut_weight,
     swap_count,
     swap_imbalance,
     true_partition,
@@ -171,6 +172,18 @@ def test_diff_node_examples():
         diff_node([1, 1], model, origin=3)
 
 
+def test_diff_node_on_a_stack_equals_row_by_row():
+    # dyadic centers keep every partial sum exact, in any summation order
+    model = MixtureModel(p1=[0.75, 0.5, 0.875, 0.25], p2=[0.25, 0.5, 0.125, 0.75])
+    stack = np.random.default_rng(31).random((3, 5, 4)) < 0.5
+    for origin in (1, 2):
+        got = diff_node(stack, model, origin)
+        assert got.shape == (3, 5)
+        assert got.tolist() == [[diff_node(row.astype(int).tolist(), model, origin) for row in rows] for rows in stack]
+    with pytest.raises(ValueError):
+        diff_node(np.zeros((2, 3)), model, origin=1)
+
+
 def test_diff_node_pair_mean_matches_k_gamma():
     # E[diff(X)] + E[diff(Y)] equals K gamma; Monte Carlo at 3 SEs
     model = constant_gap_mixture(30, 0.2)
@@ -285,3 +298,18 @@ def test_conditional_expectation_identity_of_swapped_groups():
             for u, v in zip(u_nodes, v_nodes))
     )
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=12),
+       st.randoms(use_true_random=False))
+def test_score_cut_weight_equals_cut_weight_on_the_score_graph(n, k, rnd):
+    bits = np.array([[rnd.randint(0, 1) for _ in range(k)] for _ in range(2 * n)], dtype=np.uint8)
+    cut = BalancedCut.from_side(rnd.sample(range(2 * n), n), 2 * n)
+    stack = np.stack([bits, 1 - bits])
+    want = [
+        cut_weight(build_graph(Dataset(bits=b, labels=np.repeat([1, 2], n), n_per_side=n, seed=0), Metric.SCORE), cut)
+        for b in stack
+    ]
+    assert score_cut_weight(bits, list(cut.side_s), list(cut.side_sbar)) == want[0]
+    # a stack of datasets, as bool bits, gives each dataset's weight
+    assert score_cut_weight(stack.astype(bool), list(cut.side_s), list(cut.side_sbar)).tolist() == want

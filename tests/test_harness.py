@@ -176,6 +176,22 @@ def test_resolve_model_variants(tmp_path):
         resolve_model({}, 10)
 
 
+@pytest.mark.parametrize("source, named", [
+    ({"constant_gap": {"gama": 0.25}}, "'gama'"),
+    ({"constant_gap": {}}, "'gamma'"),
+    ({"constant_gap": [0.25]}, "'constant_gap'"),
+    ({"figure1": None}, "'figure1'"),
+    ({"constant_gap": {"gamma": "0.25"}}, "gamma"),
+    ({"constant_gap": {"gamma": True}}, "gamma"),
+    ({"constant_gap": {"gamma": 0.25}, "figure1": {}}, "'constant_gap', 'figure1'"),
+    ({"file": 3}, "'file'"),
+    ({"figure1": {}, "fille": "m.json"}, "'fille'"),
+])
+def test_resolve_model_refuses_a_bad_model_block_by_key(source, named):
+    with pytest.raises(ValidationError, match=named):
+        resolve_model(source, 10)
+
+
 def test_phase_diagram_single_cell_csv(tmp_path):
     config = make_config(tmp_path, trials=8)
     aggregates = phase_diagram(config)
@@ -317,3 +333,78 @@ def test_verify_concentration_rejects_gamma_zero():
     cfg = VerifyConfig(model=constant_gap_mixture(10, 0.0))
     with pytest.raises(ValidationError):
         verify_concentration(cfg)
+
+
+# Every check's target, empirical value (float.hex), tolerance text, verdict
+# and note, at reduced sample sizes: K=200 meets the bad-node hypothesis at
+# gamma=0.2, tau=0.01 and K=50 does not.  A refactor of the checks must
+# reproduce these exactly (same RNG streams, same arithmetic).
+VERIFY_PINS = {
+    (200, 0): [
+        "pair_gap_mean 0x1.3fffffffffffep+5 0x1.40ad5c735d289p+5 '3 SE = 0.1894' True ''",
+        "cut_gap_mean_L1 0x1.dfffffffffffdp+6 0x1.e2a3d70a3d70ap+6 '3 SE = 1.635' True ''",
+        "cut_gap_mean_L2 0x1.3fffffffffffep+7 0x1.3f051eb851eb8p+7 '3 SE = 1.847' True ''",
+        "bad_node_rate 0x1.47ae147ae147bp-7 0x0.0p+0 'tau + 3 binomial SE = 0.01334' True ''",
+        "imbalance_tail_t0 0x1.0000000000000p+1 0x1.0000000000000p+0 'trivial (bound >= 1)' True ''",
+        "imbalance_tail_t0.5 0x1.8ebef9eac820bp+0 0x1.ef9db22d0e560p-2 'trivial (bound >= 1)' True ''",
+        "imbalance_tail_t1 0x1.78b56362cef38p-1 0x1.199999999999ap-3 'bound + 4 SE = 0.7757' True ''",
+        "imbalance_tail_t1.5 0x1.afb718e8457f7p-3 0x1.89374bc6a7efap-7 'bound + 4 SE = 0.2478' True ''",
+        "imbalance_tail_t2 0x1.2c155b8213cf4p-5 0x1.47ae147ae147bp-9 'bound + 4 SE = 0.05393' True ''",
+        "imbalance_tail_t2.5 0x1.fa0e9586aebc7p-9 0x1.0624dd2f1a9fcp-11 'bound + 4 SE = 0.009908' True ''",
+        "imbalance_tail_t3 0x1.02cf22526545ap-12 0x0.0p+0 'bound + 4 SE = 0.002152' True ''",
+        "delta_event_rate 0x1.0000000000004p-11 0x0.0p+0 'stand-in x 10 = 0.004883 (order bound only)' True ''",
+    ],
+    (200, 1): [
+        "pair_gap_mean 0x1.3fffffffffffep+5 0x1.3f1345149fc4cp+5 '3 SE = 0.1915' True ''",
+        "cut_gap_mean_L1 0x1.dfffffffffffdp+6 0x1.dc71a9fbe76c9p+6 '3 SE = 1.581' True ''",
+        "cut_gap_mean_L2 0x1.3fffffffffffep+7 0x1.40a872b020c4ap+7 '3 SE = 1.806' True ''",
+        "bad_node_rate 0x1.47ae147ae147bp-7 0x1.0624dd2f1a9fcp-11 'tau + 3 binomial SE = 0.01334' True ''",
+        "imbalance_tail_t0 0x1.0000000000000p+1 0x1.0000000000000p+0 'trivial (bound >= 1)' True ''",
+        "imbalance_tail_t0.5 0x1.8ebef9eac820bp+0 0x1.f1a9fbe76c8b4p-2 'trivial (bound >= 1)' True ''",
+        "imbalance_tail_t1 0x1.78b56362cef38p-1 0x1.189374bc6a7f0p-3 'bound + 4 SE = 0.7757' True ''",
+        "imbalance_tail_t1.5 0x1.afb718e8457f7p-3 0x1.999999999999ap-7 'bound + 4 SE = 0.2478' True ''",
+        "imbalance_tail_t2 0x1.2c155b8213cf4p-5 0x1.89374bc6a7efap-9 'bound + 4 SE = 0.05393' True ''",
+        "imbalance_tail_t2.5 0x1.fa0e9586aebc7p-9 0x1.0624dd2f1a9fcp-10 'bound + 4 SE = 0.009908' True ''",
+        "imbalance_tail_t3 0x1.02cf22526545ap-12 0x0.0p+0 'bound + 4 SE = 0.002152' True ''",
+        "delta_event_rate 0x1.0000000000004p-11 0x0.0p+0 'stand-in x 10 = 0.004883 (order bound only)' True ''",
+    ],
+    (50, 0): [
+        "pair_gap_mean 0x1.3fffffffffffdp+3 0x1.4004d634b422ap+3 '3 SE = 0.0958' True ''",
+        "cut_gap_mean_L1 0x1.dfffffffffffcp+4 0x1.df0624dd2f1aap+4 '3 SE = 0.817' True ''",
+        "cut_gap_mean_L2 0x1.3fffffffffffdp+5 0x1.3f00000000000p+5 '3 SE = 0.9204' True ''",
+        "bad_node_rate 0x1.47ae147ae147bp-7 0x1.3d70a3d70a3d7p-5 'tau + 3 binomial SE = 0.01334' None 'hypothesis unmet: K=50 < 185'",
+        "imbalance_tail_t0 0x1.0000000000000p+1 0x1.0000000000000p+0 'trivial (bound >= 1)' True ''",
+        "imbalance_tail_t0.5 0x1.8ebef9eac820bp+0 0x1.f22d0e5604189p-2 'trivial (bound >= 1)' True ''",
+        "imbalance_tail_t1 0x1.78b56362cef38p-1 0x1.116872b020c4ap-3 'bound + 4 SE = 0.7757' True ''",
+        "imbalance_tail_t1.5 0x1.afb718e8457f7p-3 0x1.999999999999ap-7 'bound + 4 SE = 0.2478' True ''",
+        "imbalance_tail_t2 0x1.2c155b8213cf4p-5 0x1.47ae147ae147bp-9 'bound + 4 SE = 0.05393' True ''",
+        "imbalance_tail_t2.5 0x1.fa0e9586aebc7p-9 0x1.0624dd2f1a9fcp-11 'bound + 4 SE = 0.009908' True ''",
+        "imbalance_tail_t3 0x1.02cf22526545ap-12 0x0.0p+0 'bound + 4 SE = 0.002152' True ''",
+        "delta_event_rate 0x1.0000000000004p-11 0x0.0p+0 'stand-in x 10 = 0.004883 (order bound only)' True ''",
+    ],
+    (50, 1): [
+        "pair_gap_mean 0x1.3fffffffffffdp+3 0x1.3f7a896dcd99cp+3 '3 SE = 0.09489' True ''",
+        "cut_gap_mean_L1 0x1.dfffffffffffcp+4 0x1.e1ba5e353f7cfp+4 '3 SE = 0.818' True ''",
+        "cut_gap_mean_L2 0x1.3fffffffffffdp+5 0x1.411cac083126fp+5 '3 SE = 0.9252' True ''",
+        "bad_node_rate 0x1.47ae147ae147bp-7 0x1.4395810624dd3p-5 'tau + 3 binomial SE = 0.01334' None 'hypothesis unmet: K=50 < 185'",
+        "imbalance_tail_t0 0x1.0000000000000p+1 0x1.0000000000000p+0 'trivial (bound >= 1)' True ''",
+        "imbalance_tail_t0.5 0x1.8ebef9eac820bp+0 0x1.eb020c49ba5e3p-2 'trivial (bound >= 1)' True ''",
+        "imbalance_tail_t1 0x1.78b56362cef38p-1 0x1.199999999999ap-3 'bound + 4 SE = 0.7757' True ''",
+        "imbalance_tail_t1.5 0x1.afb718e8457f7p-3 0x1.5810624dd2f1bp-7 'bound + 4 SE = 0.2478' True ''",
+        "imbalance_tail_t2 0x1.2c155b8213cf4p-5 0x1.89374bc6a7efap-9 'bound + 4 SE = 0.05393' True ''",
+        "imbalance_tail_t2.5 0x1.fa0e9586aebc7p-9 0x1.0624dd2f1a9fcp-11 'bound + 4 SE = 0.009908' True ''",
+        "imbalance_tail_t3 0x1.02cf22526545ap-12 0x0.0p+0 'bound + 4 SE = 0.002152' True ''",
+        "delta_event_rate 0x1.0000000000004p-11 0x0.0p+0 'stand-in x 10 = 0.004883 (order bound only)' True ''",
+    ],
+}
+
+
+@pytest.mark.parametrize("k, seed", sorted(VERIFY_PINS))
+def test_verify_concentration_is_pinned(k, seed):
+    cfg = VerifyConfig(model=constant_gap_mixture(k, 0.2), pairs=4_000, cut_samples=1_000,
+                       node_draws=8_000, imbalance_draws=2_000, seed=seed)
+    got = [
+        f"{c.name} {c.target.hex()} {c.empirical.hex()} {c.tolerance!r} {c.passed} {c.note!r}"
+        for c in verify_concentration(cfg).checks
+    ]
+    assert got == VERIFY_PINS[(k, seed)]

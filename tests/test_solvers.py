@@ -18,8 +18,6 @@ from mixcut.solvers import (
     DegenerateInstanceError,
     EnumerationCapError,
     _random_balanced_membership,
-    climb_trace,
-    evaluate,
     judge,
     solve,
     solve_exact,
@@ -134,17 +132,16 @@ def test_exact_recovers_partition_at_high_dimension():
     for s in range(100):
         ds = sample(model, 6, derive_seed(7, 6, 200, s))
         graph = build_graph(ds, Metric.HAMMING)
-        res = solve_exact(graph)
-        hits += evaluate(res, ds) and not res.tie
+        hits += judge(graph, ds, solve_exact(graph))[3]
     assert hits >= 95
 
 
 def test_hillclimb_reaches_global_optimum_from_every_start():
     graph = build_graph(deterministic_dataset(), Metric.HAMMING)
     for start in all_balanced_cuts(4):
-        trace, weight, cut = climb_trace(graph, start)
+        weight, m, _evals, trace = kernels.hillclimb_sweep(graph.weights, start.membership())
         assert weight == 12
-        assert set(cut.side_s) == {0, 1}
+        assert set(BalancedCut.from_membership(m).side_s) == {0, 1}
         assert all(b > a for a, b in zip([cut_weight(graph, start)] + trace, trace))
 
 
@@ -190,7 +187,7 @@ def test_hillclimb_first_improvement_flag():
 def test_spectral_on_deterministic_instance():
     ds = deterministic_dataset(n=3)
     res = solve_spectral(ds)
-    assert evaluate(res, ds)
+    assert judge(build_graph(ds, Metric.HAMMING), ds, res)[3]
     assert res.best_weight == cut_weight(build_graph(ds, Metric.HAMMING), res.best_cut)
     # the weight comes from per-side column sums; it must equal the graph's
     rng = np.random.default_rng(106)
@@ -211,7 +208,7 @@ def test_spectral_balanced_output_and_recorded_rate():
         ds = sample(model, 50, derive_seed(13, 50, 300, s))
         res = solve_spectral(ds)
         assert len(res.best_cut.side_s) == 50
-        hits += evaluate(res, ds)
+        hits += judge(build_graph(ds, Metric.HAMMING), ds, res)[3]
     rate = hits / 30  # recorded, not asserted: heuristic behavior is unpinned
     assert 0.0 <= rate <= 1.0
 
@@ -223,11 +220,11 @@ def test_spectral_rejects_degenerate_instance():
         solve_spectral(ds)
 
 
-def test_evaluate_unordered_comparison():
+def test_judge_unordered_comparison():
     ds = deterministic_dataset()
     graph = build_graph(ds, Metric.HAMMING)
     res = solve_exact(graph)
-    assert evaluate(res, ds) is True
+    assert judge(graph, ds, res)[1:] == (0, False, True)
     flipped = type(res)(
         best_cut=BalancedCut(side_s=res.best_cut.side_sbar, side_sbar=res.best_cut.side_s),
         best_weight=res.best_weight,
@@ -235,7 +232,7 @@ def test_evaluate_unordered_comparison():
         evaluations=res.evaluations,
         tie=res.tie,
     )
-    assert evaluate(flipped, ds) is True
+    assert judge(graph, ds, flipped)[1:] == (0, False, True)
     misplaced = type(res)(
         best_cut=BalancedCut.from_side([0, 2], 4),
         best_weight=res.best_weight,
@@ -243,7 +240,7 @@ def test_evaluate_unordered_comparison():
         evaluations=res.evaluations,
         tie=res.tie,
     )
-    assert evaluate(misplaced, ds) is False
+    assert judge(graph, ds, misplaced)[1:] == (1, False, False)
 
 
 def test_judge_refuses_a_truth_that_ties_and_solve_refuses_unknown_methods():

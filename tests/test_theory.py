@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ from mixcut.theory import (
     TheoryContext,
     bad_node_threshold_k,
     delta,
+    expected_gaps,
     failure_budget,
     hoeffding_tail,
     hoeffding_tail_two_sample,
     is_bad_node,
     required_k,
+    rho2_standin,
     rho3_exponent_check,
     sigma_sq_bound,
 )
@@ -146,6 +149,30 @@ def test_is_bad_node_edge_cases():
     model = MixtureModel(p1=[0.9, 0.2], p2=[0.1, 0.8])
     maximizer = [1, 0]  # sets exactly the coordinates where p1 > p2
     assert is_bad_node(maximizer, model, origin=1) is False
+
+
+def test_is_bad_node_on_a_stack_equals_row_by_row():
+    # dyadic centers keep every gap exact; all 16 rows of {0,1}^4, as 2 x 8
+    model = MixtureModel(p1=[0.75, 0.5, 0.875, 0.25], p2=[0.25, 0.5, 0.125, 0.75])
+    stack = np.array(list(itertools.product([0, 1], repeat=4)), dtype=np.int8).reshape(2, 8, 4)
+    for origin in (1, 2):
+        got = is_bad_node(stack, model, origin)
+        assert got.shape == (2, 8) and got.any() and not got.all()
+        assert got.tolist() == [[is_bad_node(row, model, origin) for row in rows] for rows in stack]
+
+
+def test_expected_gaps_are_the_per_origin_mean_gaps():
+    model = MixtureModel(p1=[0.1, 0.2, 0.7], p2=[0.9, 0.8, 0.4])
+    eta1, eta2 = expected_gaps(model)
+    assert eta1 == pytest.approx(float(model.p1 @ (model.p1 - model.p2)), rel=1e-12)
+    assert eta2 == pytest.approx(float(model.p2 @ (model.p2 - model.p1)), rel=1e-12)
+    assert eta1 + eta2 == pytest.approx(model.k * divergence(model), rel=1e-12)
+
+
+def test_rho2_standin_values():
+    for n in (4, 10, 50):
+        assert rho2_standin(n) == pytest.approx(1.0 / (4.0**n * n**1.5), rel=1e-12)
+        assert failure_budget(n, 100, 0.1).rho2_standin == rho2_standin(n)
 
 
 def test_is_bad_node_tail_at_threshold_dimension():
