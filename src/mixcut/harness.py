@@ -292,11 +292,14 @@ def worker_count() -> int:
     env = os.environ.get("MIXCUT_THREADS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
+            count = 0
+        if count < 1:
             raise ValidationError(
-                f"MIXCUT_THREADS must be an integer worker count, got {env!r}"
-            ) from None
+                f"MIXCUT_THREADS must be a positive integer worker count, got {env!r}"
+            )
+        return count
     return min(8, os.cpu_count() or 1)
 
 

@@ -10,8 +10,10 @@ baseline centers the bit matrix by its global column means and splits the
 nodes on the leading left singular vector:
 centering removes the all-samples mean direction, which otherwise occupies
 the top of the uncentered spectrum, so the between-population axis is the
-leading direction of the centered matrix.  It weighs its cut with
-`graph.score_cut_weight`, without building the graph.
+leading direction of the centered matrix.  It takes that vector as the top
+eigenvector of the 2N x 2N centered Gram matrix rather than from an SVD of
+the 2N x K matrix, and weighs its cut with `graph.score_cut_weight`,
+without building the graph.
 
 `solve` dispatches on the method name and, under the score metric, has
 exact and hillclimb seek the minimum-score cut; `judge` scores a result
@@ -134,8 +136,16 @@ def solve_hillclimb(
 def solve_spectral(dataset: Dataset, metric: Metric = Metric.HAMMING) -> SolveResult:
     """Split on the leading left singular vector of the centered bit matrix.
 
-    The top N nodes by singular-vector value form side_s; a global sign flip
-    only mirrors the bipartition, so the result is sign-invariant.  The
+    With C = U S V^T, C C^T = U S^2 U^T, so the eigenvector of the largest
+    eigenvalue of the 2N x 2N Gram C C^T (`eigh`, last column) is C's
+    leading left singular vector up to sign; forming it this way costs one
+    2N x 2N x K product and a 2N x 2N eigensolve instead of a 2N x K SVD.
+    The top N nodes by vector value form side_s (stable order on equal
+    values); a global sign flip only mirrors the bipartition, so the result
+    is sign-invariant.  Rows whose entries tie in exact arithmetic
+    (duplicate rows) get values equal up to rounding, which then orders
+    them; where such rows straddle the split either order is a valid
+    split, and which one is returned may differ from an SVD's.  The
     returned weight is the cut's weight under `metric`, without the graph:
     `score_cut_weight` under score, and N (number of ones) - 2 (score
     weight) under Hamming (exact integers).
@@ -144,8 +154,7 @@ def solve_spectral(dataset: Dataset, metric: Metric = Metric.HAMMING) -> SolveRe
     if np.all(dataset.bits == dataset.bits[0]):
         raise DegenerateInstanceError("all rows identical; no separation axis exists")
     centered = bits - bits.mean(axis=0, keepdims=True)
-    u, _s, _vt = np.linalg.svd(centered, full_matrices=False)
-    lead = u[:, 0]
+    lead = np.linalg.eigh(centered @ centered.T)[1][:, -1]
     order = np.argsort(-lead, kind="stable")
     n = dataset.n_per_side
     weight = score_cut_weight(dataset.bits, order[:n], order[n:])

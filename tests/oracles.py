@@ -52,6 +52,55 @@ def naive_extreme_balanced_cut(weights, maximize=True):
     return best, winners[0], len(winners) > 1
 
 
+def naive_hillclimb(weights, membership, first_improvement=False):
+    """1-swap local search that rescores every swap from scratch.
+
+    Each step loops u over side_s and v over side_sbar, both ascending, and
+    applies the first swap of the largest positive gain (with
+    `first_improvement`, the first positive one).  Every pair scored counts
+    as an evaluation.  Returns (weight, membership, evaluations, trace),
+    where trace lists the cut weight after each accepted swap.
+    """
+    n = len(weights)
+    inside = {i for i in range(n) if membership[i]}
+    weight = cut_weight_brute(weights, inside)
+    evals = 0
+    trace = []
+    while True:
+        chosen = None  # (gain, u, v)
+        for u in sorted(inside):
+            for v in (j for j in range(n) if j not in inside):
+                evals += 1
+                gain = cut_weight_brute(weights, (inside - {u}) | {v}) - weight
+                if gain <= 0:
+                    continue
+                if chosen is None or (not first_improvement and gain > chosen[0]):
+                    chosen = (gain, u, v)
+        if chosen is None:
+            break
+        gain, u, v = chosen
+        inside = (inside - {u}) | {v}
+        weight += gain
+        trace.append(weight)
+    return weight, [int(i in inside) for i in range(n)], evals, trace
+
+
+def svd_split(bits):
+    """Spectral split taken from a thin SVD of the column-centred bits.
+
+    Returns (side_s, margin): the N nodes with the largest entries of the
+    leading left singular vector (stable order on equal entries), and the
+    gap |lead[N-1] - lead[N]| between the N-th and (N+1)-th entries in that
+    order.  A sign flip of the vector only mirrors the split unless the
+    margin is zero.
+    """
+    x = np.asarray(bits, dtype=np.float64)
+    lead = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)[0][:, 0]
+    order = np.argsort(-lead, kind="stable")
+    half = len(lead) // 2
+    return sorted(order[:half].tolist()), abs(lead[order[half - 1]] - lead[order[half]])
+
+
 def four_term_diff(weights, ref_side_s, other_side_s, n_nodes):
     """Sum of the cut definition's four edge groups between swapped and
     unswapped nodes: the explicit form of the cut-score difference."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -149,9 +150,10 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 def test_worker_count_rejects_non_integer_thread_setting(monkeypatch):
-    monkeypatch.setenv("MIXCUT_THREADS", "two")
-    with pytest.raises(ValidationError, match="MIXCUT_THREADS"):
-        worker_count()
+    for value in ("two", "0", "-3"):
+        monkeypatch.setenv("MIXCUT_THREADS", value)
+        with pytest.raises(ValidationError, match="MIXCUT_THREADS"):
+            worker_count()
     monkeypatch.setenv("MIXCUT_THREADS", "3")
     assert worker_count() == 3
 
@@ -228,6 +230,27 @@ def test_phase_diagram_worker_count_does_not_change_bytes(tmp_path, monkeypatch)
     phase_diagram(config)
     four = (tmp_path / "phase.csv").read_bytes()
     assert one == four
+
+
+# sha256 of the phase CSV of each heuristic sweep: N in {8, 24}, K in
+# {10, 40, 160} (below and above 2N), gamma 0.1, 6 trials per cell, seed 31
+_HEURISTIC_CSV_SHA256 = {
+    ("hillclimb", "hamming", False): "b07119966d0fc54e74fa033dc0bb7881ad112199ba14afe4f0f7854b5da582d8",
+    ("hillclimb", "score", True): "747b53d7ae1a4fc51c41819b1954a03b62ec11abde77273ae303ad5f22e3a636",
+    ("spectral", "hamming", False): "5d72fa5d20346ec03eed62515eb15daff2d3d2e9dfc4a3381bd8a588c9766a94",
+    ("spectral", "score", False): "b5647bdbf5d5042287517da6c299a266c7ebb02c0c0039cf064e75413ad96b1f",
+}
+
+
+@pytest.mark.parametrize("method,metric,first_improvement", sorted(_HEURISTIC_CSV_SHA256))
+def test_phase_diagram_heuristic_csv_is_pinned(tmp_path, method, metric, first_improvement):
+    config = make_config(
+        tmp_path, model={"constant_gap": {"gamma": 0.1}}, n_values=[8, 24], k_values=[10, 40, 160],
+        trials=6, method=method, metric=metric, first_improvement=first_improvement, seed=31,
+    )
+    phase_diagram(config)
+    digest = hashlib.sha256((tmp_path / "phase.csv").read_bytes()).hexdigest()
+    assert digest == _HEURISTIC_CSV_SHA256[method, metric, first_improvement]
 
 
 def test_phase_diagram_replaces_existing_output_whole(tmp_path):

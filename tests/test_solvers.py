@@ -25,7 +25,7 @@ from mixcut.solvers import (
     solve_spectral,
 )
 
-from oracles import naive_extreme_balanced_cut, random_instance
+from oracles import naive_extreme_balanced_cut, naive_hillclimb, random_instance, svd_split
 
 
 def deterministic_dataset(k=3, n=2):
@@ -145,6 +145,36 @@ def test_hillclimb_reaches_global_optimum_from_every_start():
         assert all(b > a for a, b in zip([cut_weight(graph, start)] + trace, trace))
 
 
+def _assert_sweep_matches_naive(weights, start):
+    for first_improvement in (False, True):
+        weight, m, evals, trace = kernels.hillclimb_sweep(weights, start, first_improvement)
+        want = naive_hillclimb(weights, start, first_improvement)
+        assert (weight, m.tolist(), evals, trace) == want
+
+
+def test_hillclimb_sweep_matches_naive_climber_on_tie_heavy_weights():
+    # weights in {0, 1, 2} make equal gains common, so the scan order and
+    # the first-maximum rule decide which swap is taken
+    rng = np.random.default_rng(107)
+    for n_nodes in range(2, 13, 2):
+        for _ in range(8):
+            graph = _random_graph(rng, n_nodes, high=2)
+            start = np.zeros(n_nodes, dtype=np.uint8)
+            start[rng.permutation(n_nodes)[: n_nodes // 2]] = 1
+            _assert_sweep_matches_naive(graph.weights, start)
+
+
+def test_hillclimb_sweep_matches_naive_climber_on_sampled_graphs():
+    # Hamming graphs, and the negated score graphs that `solve` climbs on
+    rng = np.random.default_rng(108)
+    for n_per_side in (2, 3, 4, 6):
+        for _ in range(4):
+            _, ds = random_instance(rng, n_per_side)
+            start = _random_balanced_membership(2 * n_per_side, rng)
+            _assert_sweep_matches_naive(build_graph(ds, Metric.HAMMING).weights, start)
+            _assert_sweep_matches_naive(-build_graph(ds, Metric.SCORE).weights, start)
+
+
 def test_hillclimb_never_beats_exact_and_is_deterministic():
     rng = np.random.default_rng(102)
     for _ in range(10):
@@ -199,6 +229,25 @@ def test_spectral_on_deterministic_instance():
             for metric in Metric:
                 res = solve_spectral(ds, metric)
                 assert res.best_weight == cut_weight(build_graph(ds, metric), res.best_cut)
+
+
+@pytest.mark.parametrize("n_per_side,k_values", [(8, (5, 10, 40)), (32, (10, 40, 200))])
+def test_spectral_matches_svd_split_where_the_split_has_a_margin(n_per_side, k_values):
+    # K below and above 2N; where the N-th and (N+1)-th entries of the
+    # leading vector agree to 1e-8 (duplicate rows across the split), both
+    # orders are valid splits and the instance is not compared
+    compared = 0
+    for k in k_values:
+        for gamma in (0.05, 0.25):
+            model = constant_gap_mixture(k, gamma)
+            for trial in range(10):
+                ds = sample(model, n_per_side, derive_seed(17, n_per_side, k, trial))
+                side_s, margin = svd_split(ds.bits)
+                if margin <= 1e-8:
+                    continue
+                assert solve_spectral(ds).best_cut == BalancedCut.from_side(side_s, ds.n_nodes)
+                compared += 1
+    assert compared >= 50
 
 
 def test_spectral_balanced_output_and_recorded_rate():
