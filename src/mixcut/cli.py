@@ -82,7 +82,9 @@ def _build_parser() -> "_Parser":
     src.add_argument("--model")
     src.add_argument("--gap-gamma", type=float)
     src.add_argument("--figure1", action="store_true")
-    verify.add_argument("--k", type=int, default=50)
+    verify.add_argument("--k", type=int,
+                        help="dimension count of --gap-gamma or --figure1 (default 50); "
+                             "refused with --model, whose file fixes K")
     verify.add_argument("--n", type=int, default=4)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--tau", type=float, default=0.01)
@@ -192,12 +194,13 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.model:
+    if args.model is not None:
+        if args.k is not None:
+            raise harness.ValidationError("--k cannot be given with --model: the model file fixes K")
         model = load_model(args.model)
-    elif args.figure1:
-        model = figure1_mixture(args.k)
     else:
-        model = constant_gap_mixture(args.k, gamma=args.gap_gamma)
+        k = 50 if args.k is None else args.k
+        model = figure1_mixture(k) if args.figure1 else constant_gap_mixture(k, gamma=args.gap_gamma)
     cfg = harness.VerifyConfig(
         model=model,
         n=args.n,

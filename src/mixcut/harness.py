@@ -2,10 +2,8 @@
 empirical concentration-verification suite.
 
 Every artifact is a pure function of (config, master seed): trial seeds are
-derived as a stable hash of (master seed, N, K, trial index), workers only
-change scheduling, and records are sorted by (N, K, trial) before any
-aggregation.  ``MIXCUT_THREADS`` caps the worker count (speed only, never
-output).
+derived as a stable hash of (master seed, N, K, trial index), and a sweep
+runs its trials serially on the calling thread, in (N, K, trial) order.
 
 Each trial goes through `solvers.solve` and `solvers.judge`: a success
 needs the solver's cut to equal the hidden partition AND no other cut to
@@ -25,7 +23,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +35,7 @@ from .model import (
     divergence,
     figure1_mixture,
     load_model,
+    philox,
     sample,
 )
 from .solvers import DEFAULT_ENUMERATION_CAP, EnumerationCapError, judge, solve
@@ -289,22 +287,11 @@ def run_cell(config: ExperimentConfig, n: int, k: int):
 
 
 def worker_count() -> int:
-    env = os.environ.get("MIXCUT_THREADS", "").strip()
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            count = 0
-        if count < 1:
-            raise ValidationError(
-                f"MIXCUT_THREADS must be a positive integer worker count, got {env!r}"
-            )
-        return count
-    return min(8, os.cpu_count() or 1)
+    """Number of threads a sweep runs its trials on: always 1."""
+    return 1
 
 
 def _aggregate(config: ExperimentConfig, n: int, k: int, records) -> CellAggregate:
-    records = sorted(records, key=lambda r: r.trial)
     gamma = records[0].gamma
     successes = sum(r.success for r in records)
     ties = sum(r.tie for r in records)
@@ -333,26 +320,17 @@ def _g6(x: float) -> str:
 def phase_diagram(config: ExperimentConfig):
     """Run the full (N, K) sweep and emit one aggregate CSV row per cell.
 
-    Trials run concurrently; output bytes are independent of worker count.
-    Returns the list of CellAggregate rows (the CSV is written to
-    config.output).
+    Resolves each K's model once, then runs every cell's trials serially on
+    the calling thread, in (N, K, trial) order.  Returns the list of
+    CellAggregate rows (the CSV is written to config.output).
     """
     config.validate()
-    cells = [(n, k) for n in config.n_values for k in config.k_values]
     models = {k: _checked_model(config.model_source, k) for k in set(config.k_values)}
-    tasks = [(n, k, t) for (n, k) in cells for t in range(config.trials)]
-    workers = min(worker_count(), len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda nt: run_trial(config, models[nt[1]], *nt), tasks)
-            )
-    else:
-        results = [run_trial(config, models[k], n, k, t) for (n, k, t) in tasks]
-    by_cell = {cell: [] for cell in cells}
-    for rec in results:
-        by_cell[(rec.n, rec.k)].append(rec)
-    aggregates = [_aggregate(config, n, k, by_cell[(n, k)]) for (n, k) in cells]
+    aggregates = []
+    for n in config.n_values:
+        for k in config.k_values:
+            records = [run_trial(config, models[k], n, k, t) for t in range(config.trials)]
+            aggregates.append(_aggregate(config, n, k, records))
     text = PHASE_CSV_HEADER + "\n" + "".join(
         f"{a.n},{a.k},{_g6(a.gamma)},{a.method},{a.metric},{a.trials},"
         f"{a.successes},{_g6(a.successes / a.trials)},{_g6(a.mean_l)},"
@@ -454,11 +432,6 @@ class ConcentrationReport:
         return all(c.passed for c in self.checks if c.passed is not None)
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _draw(rng, lead: tuple, p: np.ndarray) -> np.ndarray:
     """Bernoulli bits of shape lead + p.shape: bit [..., j] is set with
     probability p[j]."""
@@ -482,7 +455,7 @@ def _mean_check(name: str, statistic: str, target: float, samples: np.ndarray) -
 def _check_pair_gap_mean(cfg: VerifyConfig, gamma: float) -> CheckResult:
     """Mean of diff(X) + diff(Y) over independent pairs vs K gamma."""
     model, m = cfg.model, cfg.pairs
-    rng = _rng(cfg.seed, 1)
+    rng = philox(cfg.seed, 1)
     dx = diff_node(_draw(rng, (m,), model.p1), model, 1)
     dy = diff_node(_draw(rng, (m,), model.p2), model, 2)
     return _mean_check("pair_gap_mean", f"mean diff(X)+diff(Y), {m} pairs", model.k * gamma, dx + dy)
@@ -493,7 +466,7 @@ def _check_cut_gap_mean(cfg: VerifyConfig, gamma: float, l: int) -> CheckResult:
     datasets vs (N-L) L K gamma.  The truth cut puts rows 0..N-1 on side_s;
     the L-swap cut trades rows N-L..N-1 for rows 2N-L..2N-1."""
     n, k, m = cfg.n, cfg.model.k, cfg.cut_samples
-    rng = _rng(cfg.seed, 2, l)
+    rng = philox(cfg.seed, 2, l)
     probs = np.concatenate([np.tile(cfg.model.p1, n), np.tile(cfg.model.p2, n)]).reshape(2 * n, k)
     bits = _draw(rng, (m,), probs)
     w_truth = score_cut_weight(bits, np.arange(n), np.arange(n, 2 * n))
@@ -512,7 +485,7 @@ def _check_bad_node_rate(cfg: VerifyConfig, gamma: float) -> CheckResult:
     expectation, vs tau under the K >= 8 ln(1/tau)/gamma hypothesis."""
     model, k = cfg.model, cfg.model.k
     threshold_k = bad_node_threshold_k(cfg.tau, gamma)
-    rng = _rng(cfg.seed, 3)
+    rng = philox(cfg.seed, 3)
     half = cfg.node_draws // 2
     bad = np.concatenate([
         is_bad_node(_draw(rng, (half,), model.p1), model, 1),
@@ -538,7 +511,7 @@ def _imbalance_deviations(cfg: VerifyConfig, key: int):
     the two swapped groups, scaled by sqrt(L)."""
     p1, p2 = cfg.model.p1, cfg.model.p2
     l, m = cfg.imbalance_l, cfg.imbalance_draws
-    rng = _rng(cfg.seed, key)
+    rng = philox(cfg.seed, key)
     u = _draw(rng, (m, l), p1).sum(axis=1, dtype=np.int64)
     v = _draw(rng, (m, l), p2).sum(axis=1, dtype=np.int64)
     expected = l * (p1 - p2)

@@ -8,10 +8,10 @@ divergence of a mixture is the mean squared coordinate gap
 
 which lies in [0,1] and is 0 iff the centers coincide.
 
-Sampling uses the counter-based Philox generator keyed by an explicit 64-bit
-seed, so a dataset is a pure function of (model, N, seed) and sweeps can be
-parallelized without ordering effects.  Per-trial seeds for experiment grids
-are derived from a master seed via `derive_seed`.
+Every random draw in the package comes from `philox`, the counter-based
+Philox generator keyed by an explicit seed and an optional key tuple, so a
+dataset is a pure function of (model, N, seed).  Per-trial seeds for
+experiment grids are derived from a master seed via `derive_seed`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "save_model",
     "load_model",
     "derive_seed",
+    "philox",
 ]
 
 
@@ -114,7 +115,7 @@ def sample(model: MixtureModel, n_per_side: int, seed: int) -> Dataset:
     """Draw N rows from each component, bit-reproducible for a given seed."""
     if n_per_side < 1:
         raise ValueError("n_per_side must be >= 1")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = philox(seed)
     centers = np.vstack([
         np.broadcast_to(model.p1, (n_per_side, model.k)),
         np.broadcast_to(model.p2, (n_per_side, model.k)),
@@ -183,8 +184,17 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     """Stable 64-bit seed for a grid point, e.g. (N, K, trial).
 
     SeedSequence(entropy, spawn_key) is a documented, version-stable hash of
-    the master seed and the index tuple, so parallel workers can draw their
-    trials in any order.
+    the master seed and the index tuple, so a trial's seed depends on its
+    indices alone, never on which trials ran before it.
     """
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(int(i) for i in indices))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def philox(seed: int, *key: int) -> np.random.Generator:
+    """Philox generator keyed by SeedSequence(entropy=seed, spawn_key=key).
+
+    With no key this is the stream of `Philox(seed)`, which seeds through
+    `SeedSequence(seed)` with an empty spawn key.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))

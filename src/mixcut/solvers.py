@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .graph import BalancedCut, CutGraph, Metric, cut_weight, score_cut_weight, swap_count, true_partition
-from .model import Dataset
+from .model import Dataset, philox
 
 __all__ = [
     "SolveResult",
@@ -102,7 +102,7 @@ def solve_hillclimb(
     """Best local optimum of 1-swap hill climbing over random restarts.
 
     Deterministic for a given seed: restart r draws its start from
-    Philox(derive(seed, r)); equal-weight optima keep the earliest restart.
+    `philox(seed, r)`; equal-weight optima keep the earliest restart.
     Each restart's end is mirrored to node 0's side before comparison, so
     only distinct bipartitions of the best weight set the tie flag.
     """
@@ -113,9 +113,7 @@ def solve_hillclimb(
     tie = False
     total_evals = 0
     for r in range(restarts):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(r,))
-        rng = np.random.Generator(np.random.Philox(ss))
-        start = _random_balanced_membership(graph.n_nodes, rng)
+        start = _random_balanced_membership(graph.n_nodes, philox(seed, r))
         w, m, evals, _trace = kernels.hillclimb_sweep(graph.weights, start, first_improvement)
         if m[0] == 0:
             m = 1 - m

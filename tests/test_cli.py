@@ -280,6 +280,19 @@ def test_verify_refuses_an_out_of_range_size(capsys, flag, value):
     assert "refused:" in stderr and flag[2:].replace("-", "_") in stderr
 
 
+def test_verify_refuses_k_with_model(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    run_cli(capsys, "gen", "--gap-gamma", "0.2", "--k", "30", "--out", str(out))
+    small = ("--pairs", "200", "--cut-samples", "200", "--node-draws", "200", "--imbalance-draws", "200")
+    code, stdout, stderr = run_cli(capsys, "verify", "--model", str(out), "--k", "30", *small)
+    assert code == 2 and stdout == ""
+    assert "refused:" in stderr and "--k" in stderr and "--model" in stderr
+    code, stdout, _ = run_cli(capsys, "verify", "--model", str(out), *small)
+    assert code == 0 and stdout.startswith("concentration checks: K=30 ")
+    code, stdout, _ = run_cli(capsys, "verify", "--gap-gamma", "0.2", *small)
+    assert code == 0 and stdout.startswith("concentration checks: K=50 ")
+
+
 def test_python_dash_m_mixcut_runs_the_cli(tmp_path):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from mixcut import harness
 from mixcut.harness import (
     PHASE_CSV_HEADER,
     ExperimentConfig,
@@ -149,15 +150,6 @@ def test_config_rejects_unknown_keys(tmp_path):
         ExperimentConfig.from_dict(["model", "trials"])
 
 
-def test_worker_count_rejects_non_integer_thread_setting(monkeypatch):
-    for value in ("two", "0", "-3"):
-        monkeypatch.setenv("MIXCUT_THREADS", value)
-        with pytest.raises(ValidationError, match="MIXCUT_THREADS"):
-            worker_count()
-    monkeypatch.setenv("MIXCUT_THREADS", "3")
-    assert worker_count() == 3
-
-
 def test_run_cell_refuses_degenerate_model(tmp_path):
     config = make_config(tmp_path, model={"constant_gap": {"gamma": 0.0}})
     with pytest.raises(ValidationError):
@@ -222,14 +214,35 @@ def test_phase_diagram_round_trip(tmp_path):
 
 
 def test_phase_diagram_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
+    # MIXCUT_THREADS is not read: any value, valid or not, runs one worker
     config = make_config(tmp_path, k_values=[10, 20], trials=12)
-    monkeypatch.setenv("MIXCUT_THREADS", "1")
+    outputs = []
+    for value in ("1", "4", "two", "0", None):
+        if value is None:
+            monkeypatch.delenv("MIXCUT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MIXCUT_THREADS", value)
+        assert worker_count() == 1
+        phase_diagram(config)
+        outputs.append((tmp_path / "phase.csv").read_bytes())
+    assert all(out == outputs[0] for out in outputs)
+
+
+def test_phase_diagram_runs_trials_on_the_calling_thread_in_order(tmp_path, monkeypatch):
+    config = make_config(tmp_path, n_values=[4, 5], k_values=[10, 20, 30], trials=4)
+    calls = []
+    original = harness.run_trial
+
+    def recording(config, model, n, k, trial):
+        calls.append((threading.get_ident(), n, k, trial))
+        return original(config, model, n, k, trial)
+
+    monkeypatch.setattr(harness, "run_trial", recording)
     phase_diagram(config)
-    one = (tmp_path / "phase.csv").read_bytes()
-    monkeypatch.setenv("MIXCUT_THREADS", "4")
-    phase_diagram(config)
-    four = (tmp_path / "phase.csv").read_bytes()
-    assert one == four
+    assert {ident for ident, *_ in calls} == {threading.get_ident()}
+    assert [call[1:] for call in calls] == [
+        (n, k, t) for n in (4, 5) for k in (10, 20, 30) for t in range(4)
+    ]
 
 
 # sha256 of the phase CSV of each heuristic sweep: N in {8, 24}, K in
