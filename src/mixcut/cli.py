@@ -3,7 +3,8 @@
 Subcommands: ``gen`` (emit a model file), ``solve`` (one dataset, one
 method), ``phase`` (sweep to CSV), ``bounds`` (theory report), ``verify``
 (concentration suite).  Exit codes: 0 success, 1 usage error, 2 cap or
-validation refusal.  All randomness flows from ``--seed``.
+validation refusal, 3 a gated ``verify`` check read FAIL (SKIP is not a
+failure).  All randomness flows from ``--seed``.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def _cmd_verify(args) -> int:
     )
     report = harness.verify_concentration(cfg)
     print(harness.format_report(report))
-    return 0
+    return 0 if report.all_passed() else 3
 
 
 _COMMANDS = {

@@ -173,10 +173,16 @@ def score_cut_weight(bits: np.ndarray, side_s, side_sbar):
     `bits`, without building the graph: the sum of <x, y> over crossing
     pairs is (sum of the side_s rows) . (sum of the side_sbar rows), in
     exact integers.  `bits` is one 2N x K dataset, giving an int, or a stack
-    of shape (..., 2N, K), giving an int64 array of shape (...)."""
-    a = bits[..., side_s, :].sum(axis=-2, dtype=np.int64)
-    b = bits[..., side_sbar, :].sum(axis=-2, dtype=np.int64)
-    weight = (a * b).sum(axis=-1)
+    of shape (..., 2N, K), giving an int64 array of shape (...).
+
+    A column sum of 0/1 bits over a side is at most the side's size, so it
+    is accumulated in the smallest unsigned type that holds that size
+    (uint8 up to 255 rows), which reduces far faster than int64; the
+    products and their sum are int64."""
+    count = np.min_scalar_type(max(len(side_s), len(side_sbar)))
+    a = bits[..., side_s, :].sum(axis=-2, dtype=count)
+    b = bits[..., side_sbar, :].sum(axis=-2, dtype=count)
+    weight = np.multiply(a, b, dtype=np.int64).sum(axis=-1)
     return int(weight) if weight.ndim == 0 else weight
 
 

@@ -12,7 +12,12 @@ tie its weight; ties involving the true partition are tallied separately.
 The concentration checks draw their Bernoulli samples here and take every
 closed-form quantity from its owner: `graph.diff_node` and
 `theory.is_bad_node` on stacks of rows, `graph.score_cut_weight` on a stack
-of datasets, `theory.bad_node_threshold_k` and `theory.rho2_standin`.
+of datasets, `theory.bad_node_threshold_k` and `theory.rho2_standin`.  Each
+check draws its samples in blocks of about 2**17 uniforms (`_draw_reduced`)
+and reduces every block to per-sample values at once, so only those values
+are kept whole.  The blocks take consecutive stretches of one Philox stream,
+the same uniforms in the same order as one draw of the whole sample array,
+so the reports equal those of drawing everything at once.
 """
 
 from __future__ import annotations
@@ -432,10 +437,44 @@ class ConcentrationReport:
         return all(c.passed for c in self.checks if c.passed is not None)
 
 
-def _draw(rng, lead: tuple, p: np.ndarray) -> np.ndarray:
-    """Bernoulli bits of shape lead + p.shape: bit [..., j] is set with
-    probability p[j]."""
-    return rng.random(lead + p.shape) < p
+# Uniforms per block of a chunked draw: about 2**17 float64 (1 MB), so a
+# block's uniforms and bits stay in cache while its reduction reads them.
+_CHUNK_UNIFORMS = 1 << 17
+# Rows per block are a whole multiple of this.  The BLAS matrix-vector
+# product behind `diff_node` may round a row's gap differently by where the
+# row falls in the product's row groups and thread shares; with blocks of 64
+# rows every pair gap at the CLI defaults equals that of one product over
+# all rows (blocks of 655 rows changed 304 of 100000 in the last bit, with
+# OpenBLAS on 2 threads).
+_CHUNK_ROW_MULTIPLE = 64
+
+
+def _draw_reduced(rng, m: int, p: np.ndarray, reduce) -> np.ndarray:
+    """Per-sample values of m Bernoulli samples of shape p.shape, drawn in
+    blocks of whole samples.
+
+    Bit [i, ...] of sample i is set with probability p[...].  Each block's
+    uniforms go into one reused float64 buffer and its bits into one reused
+    bool buffer; `reduce` maps a block of bits of shape (r,) + p.shape to its
+    r per-sample values, and the values of all m samples are returned as one
+    array.  `Generator.random` fills in C order, one stream word per value,
+    so the blocks read the same uniforms as one `rng.random((m,) + p.shape)`:
+    the bits equal `rng.random((m,) + p.shape) < p` and `rng` ends in the
+    same state.
+    """
+    per = max(1, _CHUNK_UNIFORMS // p.size // _CHUNK_ROW_MULTIPLE) * _CHUNK_ROW_MULTIPLE
+    uniforms = np.empty((min(per, m),) + p.shape)
+    bits = np.empty(uniforms.shape, dtype=bool)
+    values = None
+    for start in range(0, m, per):
+        r = min(per, m - start)
+        rng.random(out=uniforms[:r])
+        np.less(uniforms[:r], p, out=bits[:r])
+        block = reduce(bits[:r])
+        if values is None:
+            values = np.empty((m,) + block.shape[1:], dtype=block.dtype)
+        values[start:start + r] = block
+    return values
 
 
 def _mean_check(name: str, statistic: str, target: float, samples: np.ndarray) -> CheckResult:
@@ -456,8 +495,8 @@ def _check_pair_gap_mean(cfg: VerifyConfig, gamma: float) -> CheckResult:
     """Mean of diff(X) + diff(Y) over independent pairs vs K gamma."""
     model, m = cfg.model, cfg.pairs
     rng = philox(cfg.seed, 1)
-    dx = diff_node(_draw(rng, (m,), model.p1), model, 1)
-    dy = diff_node(_draw(rng, (m,), model.p2), model, 2)
+    dx = _draw_reduced(rng, m, model.p1, lambda bits: diff_node(bits, model, 1))
+    dy = _draw_reduced(rng, m, model.p2, lambda bits: diff_node(bits, model, 2))
     return _mean_check("pair_gap_mean", f"mean diff(X)+diff(Y), {m} pairs", model.k * gamma, dx + dy)
 
 
@@ -468,15 +507,17 @@ def _check_cut_gap_mean(cfg: VerifyConfig, gamma: float, l: int) -> CheckResult:
     n, k, m = cfg.n, cfg.model.k, cfg.cut_samples
     rng = philox(cfg.seed, 2, l)
     probs = np.concatenate([np.tile(cfg.model.p1, n), np.tile(cfg.model.p2, n)]).reshape(2 * n, k)
-    bits = _draw(rng, (m,), probs)
-    w_truth = score_cut_weight(bits, np.arange(n), np.arange(n, 2 * n))
     other_s = np.concatenate([np.arange(n - l), np.arange(2 * n - l, 2 * n)])
-    w_other = score_cut_weight(bits, other_s, np.arange(n - l, 2 * n - l))
+
+    def cut_gap(bits):
+        w_truth = score_cut_weight(bits, np.arange(n), np.arange(n, 2 * n))
+        return score_cut_weight(bits, other_s, np.arange(n - l, 2 * n - l)) - w_truth
+
     return _mean_check(
         f"cut_gap_mean_L{l}",
         f"mean score(S,Sbar)-score(T), N={n} L={l}, {m} datasets",
         (n - l) * l * k * gamma,
-        (w_other - w_truth).astype(np.float64),
+        _draw_reduced(rng, m, probs, cut_gap).astype(np.float64),
     )
 
 
@@ -488,8 +529,8 @@ def _check_bad_node_rate(cfg: VerifyConfig, gamma: float) -> CheckResult:
     rng = philox(cfg.seed, 3)
     half = cfg.node_draws // 2
     bad = np.concatenate([
-        is_bad_node(_draw(rng, (half,), model.p1), model, 1),
-        is_bad_node(_draw(rng, (half,), model.p2), model, 2),
+        _draw_reduced(rng, half, model.p1, lambda bits: is_bad_node(bits, model, 1)),
+        _draw_reduced(rng, half, model.p2, lambda bits: is_bad_node(bits, model, 2)),
     ])
     freq = float(bad.mean())
     m = bad.size
@@ -508,12 +549,23 @@ def _check_bad_node_rate(cfg: VerifyConfig, gamma: float) -> CheckResult:
 
 def _imbalance_deviations(cfg: VerifyConfig, key: int):
     """|t_k| samples: per-dimension swap-imbalance deviations over draws of
-    the two swapped groups, scaled by sqrt(L)."""
+    the two swapped groups, scaled by sqrt(L).
+
+    Each group's L x K bits per draw come from `_draw_reduced` with the
+    (L, K) broadcast of its center, and each block is summed over its L axis
+    at once, so only the m x K column counts u and v are kept.  They are
+    exact in a small signed type: the smallest one that holds -L - 1 holds
+    every count and every u - v in [-L, L]."""
     p1, p2 = cfg.model.p1, cfg.model.p2
     l, m = cfg.imbalance_l, cfg.imbalance_draws
     rng = philox(cfg.seed, key)
-    u = _draw(rng, (m, l), p1).sum(axis=1, dtype=np.int64)
-    v = _draw(rng, (m, l), p2).sum(axis=1, dtype=np.int64)
+    count = np.min_scalar_type(-l - 1)
+
+    def column_counts(bits):
+        return bits.sum(axis=1, dtype=count)
+
+    u = _draw_reduced(rng, m, np.broadcast_to(p1, (l, p1.size)), column_counts)
+    v = _draw_reduced(rng, m, np.broadcast_to(p2, (l, p2.size)), column_counts)
     expected = l * (p1 - p2)
     return np.abs(u - v - expected) / math.sqrt(l)
 

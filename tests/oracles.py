@@ -124,6 +124,12 @@ def four_term_diff(weights, ref_side_s, other_side_s, n_nodes):
     return total
 
 
+def oneshot_bernoulli(rng, lead, p):
+    """Bernoulli bits of shape lead + p.shape from one call to `rng.random`:
+    bit [..., j] is set with probability p[j]."""
+    return rng.random(lead + p.shape) < p
+
+
 def random_model(rng, k):
     from mixcut.model import MixtureModel
 

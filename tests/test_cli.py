@@ -270,6 +270,27 @@ def test_verify_emits_all_five_check_families(capsys):
     assert "PASS" in stdout
 
 
+def test_verify_exits_3_when_a_gated_check_fails(capsys, monkeypatch):
+    from mixcut import harness
+
+    def failing(cfg):
+        return harness.ConcentrationReport(k=cfg.model.k, gamma=0.2, n=cfg.n, checks=(
+            harness.CheckResult("pair_gap_mean", "s", 10.0, 12.0, "3 SE = 0.1", False),
+            harness.CheckResult("bad_node_rate", "s", 0.01, 0.05, "t", None, "hypothesis unmet"),
+        ))
+
+    monkeypatch.setattr(harness, "verify_concentration", failing)
+    code, stdout, _ = run_cli(capsys, "verify", "--gap-gamma", "0.2")
+    assert code == 3
+    assert "FAIL" in stdout and "SKIP" in stdout
+
+
+def test_verify_readme_example_with_a_skip_exits_0(capsys):
+    code, stdout, _ = run_cli(capsys, "verify", "--gap-gamma", "0.2", "--k", "50", "--seed", "0")
+    assert code == 0
+    assert "SKIP  [hypothesis unmet: K=50 < 185]" in stdout and "FAIL" not in stdout
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--tau", "0"), ("--tau", "1.5"), ("--node-draws", "1"), ("--imbalance-draws", "0"),
     ("--pairs", "1"), ("--cut-samples", "1"), ("--imbalance-l", "0"),

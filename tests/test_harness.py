@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,11 @@ from mixcut.harness import (
     verify_concentration,
     worker_count,
 )
-from mixcut.model import constant_gap_mixture, save_model
+from mixcut.graph import diff_node, score_cut_weight
+from mixcut.model import MixtureModel, constant_gap_mixture, philox, save_model
 from mixcut.solvers import EnumerationCapError
+from mixcut.theory import is_bad_node
+from oracles import oneshot_bernoulli
 
 
 def make_config(tmp_path, **overrides):
@@ -444,3 +448,83 @@ def test_verify_concentration_is_pinned(k, seed):
         for c in verify_concentration(cfg).checks
     ]
     assert got == VERIFY_PINS[(k, seed)]
+
+
+# The verify suite at the CLI defaults (K=200, gamma=0.2, seed 0), in the
+# VERIFY_PINS format.  These sizes put the draw's block boundaries where the
+# reduced sizes above do not.
+DEFAULT_PIN = [
+    "pair_gap_mean 0x1.3fffffffffffep+5 0x1.4008e28ec0609p+5 '3 SE = 0.03785' True ''",
+    "cut_gap_mean_L1 0x1.dfffffffffffdp+6 0x1.e017f62b6ae7dp+6 '3 SE = 0.5052' True ''",
+    "cut_gap_mean_L2 0x1.3fffffffffffep+7 0x1.3f85e353f7ceep+7 '3 SE = 0.5871' True ''",
+    "bad_node_rate 0x1.47ae147ae147bp-7 0x1.6f0068db8bac7p-12 'tau + 3 binomial SE = 0.01094' True ''",
+    "imbalance_tail_t0 0x1.0000000000000p+1 0x1.0000000000000p+0 'trivial (bound >= 1)' True ''",
+    "imbalance_tail_t0.5 0x1.8ebef9eac820bp+0 0x1.e339c0ebedfa4p-2 'trivial (bound >= 1)' True ''",
+    "imbalance_tail_t1 0x1.78b56362cef38p-1 0x1.0346dc5d63886p-3 'bound + 4 SE = 0.7535' True ''",
+    "imbalance_tail_t1.5 0x1.afb718e8457f7p-3 0x1.30be0ded288cep-7 'bound + 4 SE = 0.2272' True ''",
+    "imbalance_tail_t2 0x1.2c155b8213cf4p-5 0x1.f212d77318fc5p-10 'bound + 4 SE = 0.04425' True ''",
+    "imbalance_tail_t2.5 0x1.fa0e9586aebc7p-9 0x1.3a92a30553261p-12 'bound + 4 SE = 0.006442' True ''",
+    "imbalance_tail_t3 0x1.02cf22526545ap-12 0x0.0p+0 'bound + 4 SE = 0.0009752' True ''",
+    "delta_event_rate 0x1.0000000000004p-11 0x0.0p+0 'stand-in x 10 = 0.004883 (order bound only)' True ''",
+]
+
+
+def test_verify_concentration_at_cli_defaults_is_pinned_within_80_mb():
+    cfg = VerifyConfig(model=constant_gap_mixture(200, 0.2), seed=0)
+    tracemalloc.start()
+    try:
+        checks = verify_concentration(cfg).checks
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    got = [f"{c.name} {c.target.hex()} {c.empirical.hex()} {c.tolerance!r} {c.passed} {c.note!r}" for c in checks]
+    assert got == DEFAULT_PIN
+    # one-shot draws peaked at 174-182 MB here (100000 x 200 float64 uniforms)
+    assert peak < 80e6, f"peak traced allocation {peak / 1e6:.1f} MB"
+
+
+def _dyadic_model(k):
+    """A model whose centers are multiples of 1/8, so every gap sum is exact
+    in float64 and per-sample values cannot depend on summation order."""
+    rnd = np.random.default_rng(k)
+    return MixtureModel(p1=rnd.integers(0, 9, k) / 8.0, p2=rnd.integers(0, 9, k) / 8.0)
+
+
+def _chunked_cases():
+    k, n, l = 37, 3, 3
+    model = _dyadic_model(k)
+    stack = np.concatenate([np.tile(model.p1, n), np.tile(model.p2, n)]).reshape(2 * n, k)
+    other_s, other_sbar = [0, 1, 5], [2, 3, 4]
+    return {
+        "diff_node": (model.p1, lambda bits: diff_node(bits, model, 1)),
+        "is_bad_node": (model.p2, lambda bits: is_bad_node(bits, model, 2)),
+        "cut_gap": (stack, lambda bits: score_cut_weight(bits, other_s, other_sbar)
+                    - score_cut_weight(bits, [0, 1, 2], [3, 4, 5])),
+        "imbalance": (np.broadcast_to(model.p1, (l, k)), lambda bits: bits.sum(axis=1, dtype=np.int8)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_chunked_cases()))
+def test_chunked_draw_equals_the_oneshot_draw(case):
+    p, reduce = _chunked_cases()[case]
+    blocks = []
+
+    def record(bits):
+        blocks.append(len(bits))
+        return bits[:, 0]
+
+    harness._draw_reduced(philox(3, 9), 10_000, p, record)
+    per = blocks[0]  # rows in a full block
+    assert 1 < per < 10_000 and sum(blocks) == 10_000
+    for m in (1, per - 1, per, per + 1, 2 * per + 3):
+        rng, ref = philox(3, 9), philox(3, 9)
+        bits = harness._draw_reduced(rng, m, p, lambda block: block)
+        want = oneshot_bernoulli(ref, (m,), p)
+        np.testing.assert_array_equal(bits, want)
+        assert rng.random(7).tolist() == ref.random(7).tolist()
+        rng, ref = philox(3, 9), philox(3, 9)
+        values = harness._draw_reduced(rng, m, p, reduce)
+        expected = reduce(oneshot_bernoulli(ref, (m,), p))
+        assert values.dtype == expected.dtype
+        np.testing.assert_array_equal(values, expected)
+        assert rng.random(7).tolist() == ref.random(7).tolist()
