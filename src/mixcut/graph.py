@@ -192,13 +192,20 @@ def diff_node(z, model: MixtureModel, origin: int):
     For a row z of origin 1 this is sum_k z^k (p1^k - p2^k); origin 2 flips
     the sign of the gap.  `z` is one row of shape (K,), giving a float, or a
     stack of rows of shape (..., K), giving an array of shape (...).
+
+    Each gap is the row sum of z * (p1 - p2) in numpy's fixed pairwise
+    order, so it is a function of that row's bits alone: the same however
+    the rows are stacked or split into blocks, and on any number of BLAS
+    threads (a BLAS matrix-vector product rounds a row's sum by where the
+    row falls in its row groups and thread shares).  A bool stack is
+    multiplied as it is, without a float64 copy of its bits.
     """
-    za = np.asarray(z, dtype=np.float64)
+    za = np.asarray(z)
     if za.shape[-1:] != model.p1.shape:
         raise ValueError("bit vector length must equal the model dimension")
     if origin not in (1, 2):
         raise ValueError("origin must be 1 or 2")
-    gap = za @ (model.p1 - model.p2 if origin == 1 else model.p2 - model.p1)
+    gap = (za * (model.p1 - model.p2 if origin == 1 else model.p2 - model.p1)).sum(axis=-1)
     return float(gap) if gap.ndim == 0 else gap
 
 

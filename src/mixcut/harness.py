@@ -13,11 +13,15 @@ The concentration checks draw their Bernoulli samples here and take every
 closed-form quantity from its owner: `graph.diff_node` and
 `theory.is_bad_node` on stacks of rows, `graph.score_cut_weight` on a stack
 of datasets, `theory.bad_node_threshold_k` and `theory.rho2_standin`.  Each
-check draws its samples in blocks of about 2**17 uniforms (`_draw_reduced`)
-and reduces every block to per-sample values at once, so only those values
-are kept whole.  The blocks take consecutive stretches of one Philox stream,
-the same uniforms in the same order as one draw of the whole sample array,
-so the reports equal those of drawing everything at once.
+check draws its samples through `_draw_reduced`: the sample axis is split
+into one contiguous stretch per available CPU, each stretch drawn on its
+own thread in blocks of about 2**17 uniforms, and every block reduced to
+per-sample values at once, so only those values are kept whole.  Philox is
+counter-based, so each stretch starts at its own offset of the check's one
+stream and reads the same uniforms as one draw of the whole sample array.
+Every per-sample value depends on that sample's bits alone, so the reports
+equal those of drawing everything at once, on any number of cores or BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import inspect
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -440,40 +445,98 @@ class ConcentrationReport:
 # Uniforms per block of a chunked draw: about 2**17 float64 (1 MB), so a
 # block's uniforms and bits stay in cache while its reduction reads them.
 _CHUNK_UNIFORMS = 1 << 17
-# Rows per block are a whole multiple of this.  The BLAS matrix-vector
-# product behind `diff_node` may round a row's gap differently by where the
-# row falls in the product's row groups and thread shares; with blocks of 64
-# rows every pair gap at the CLI defaults equals that of one product over
-# all rows (blocks of 655 rows changed 304 of 100000 in the last bit, with
-# OpenBLAS on 2 threads).
-_CHUNK_ROW_MULTIPLE = 64
+# Words per Philox block: each counter value yields four 64-bit words.
+_PHILOX_WORDS = 4
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the number of stretches of a draw."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _philox_at(rng, words: int) -> np.random.Generator:
+    """A new generator on `rng`'s Philox stream, `words` 64-bit words past
+    `rng`'s position; `rng` itself is not moved.
+
+    The copy first uses up what is left of the current 4-word block, then
+    skips whole blocks by moving the counter (`advance`, which also empties
+    the buffer) and discards the rest of the last block word by word."""
+    state = rng.bit_generator.state
+    bit_generator = np.random.Philox()
+    bit_generator.state = state
+    head = min(words, _PHILOX_WORDS - state["buffer_pos"])
+    bit_generator.random_raw(head, output=False)
+    if words > head:
+        bit_generator.advance((words - head) // _PHILOX_WORDS)
+        bit_generator.random_raw((words - head) % _PHILOX_WORDS, output=False)
+    return np.random.Generator(bit_generator)
 
 
 def _draw_reduced(rng, m: int, p: np.ndarray, reduce) -> np.ndarray:
-    """Per-sample values of m Bernoulli samples of shape p.shape, drawn in
-    blocks of whole samples.
+    """Per-sample values of m >= 1 Bernoulli samples of shape p.shape, drawn
+    in blocks of whole samples on every available CPU.
 
-    Bit [i, ...] of sample i is set with probability p[...].  Each block's
-    uniforms go into one reused float64 buffer and its bits into one reused
-    bool buffer; `reduce` maps a block of bits of shape (r,) + p.shape to its
-    r per-sample values, and the values of all m samples are returned as one
-    array.  `Generator.random` fills in C order, one stream word per value,
-    so the blocks read the same uniforms as one `rng.random((m,) + p.shape)`:
-    the bits equal `rng.random((m,) + p.shape) < p` and `rng` ends in the
-    same state.
+    Bit [i, ...] of sample i is set with probability p[...].  `reduce` maps
+    a block of bits of shape (r,) + p.shape to its r per-sample values, and
+    the values of all m samples are returned as one array.
+
+    `Generator.random` fills in C order, one stream word per value, so
+    sample i takes words [i * p.size, (i + 1) * p.size) of `rng`'s Philox
+    stream.  The sample axis is split into one contiguous stretch per CPU
+    (`_cpu_count`); the calling thread draws stretch 0 and one thread each
+    the others.  Philox is counter-based, so each stretch reads its words
+    from its own generator placed at its first word (`_philox_at`), with no
+    walk through the words before it.  A stretch draws its rows in blocks
+    of about `_CHUNK_UNIFORMS` uniforms, into one float64 and one bool
+    buffer of its own, and writes the reduced values into the shared result.
+    So the bits equal `rng.random((m,) + p.shape) < p` for any number of
+    stretches, and `rng` ends in the state that one such call leaves.  The
+    values equal `reduce` of those bits whenever `reduce` gives each sample
+    a value from that sample's bits alone, as every check's reduction does.
+    An exception raised in any stretch is raised here once all have ended.
     """
-    per = max(1, _CHUNK_UNIFORMS // p.size // _CHUNK_ROW_MULTIPLE) * _CHUNK_ROW_MULTIPLE
-    uniforms = np.empty((min(per, m),) + p.shape)
-    bits = np.empty(uniforms.shape, dtype=bool)
-    values = None
-    for start in range(0, m, per):
-        r = min(per, m - start)
-        rng.random(out=uniforms[:r])
-        np.less(uniforms[:r], p, out=bits[:r])
-        block = reduce(bits[:r])
-        if values is None:
-            values = np.empty((m,) + block.shape[1:], dtype=block.dtype)
-        values[start:start + r] = block
+    per = max(1, _CHUNK_UNIFORMS // p.size)
+    stretches = min(_cpu_count(), m)
+    bounds = [m * i // stretches for i in range(stretches + 1)]
+
+    def blocks(lo: int, hi: int):
+        gen = _philox_at(rng, lo * p.size)
+        uniforms = np.empty((min(per, hi - lo),) + p.shape)
+        bits = np.empty(uniforms.shape, dtype=bool)
+        for start in range(lo, hi, per):
+            r = min(per, hi - start)
+            gen.random(out=uniforms[:r])
+            np.less(uniforms[:r], p, out=bits[:r])
+            yield start, reduce(bits[:r])
+
+    first = blocks(bounds[0], bounds[1])
+    _, block = next(first)
+    values = np.empty((m,) + block.shape[1:], dtype=block.dtype)
+    values[:len(block)] = block
+    errors = [None] * stretches
+
+    def fill(i: int, stretch) -> None:
+        try:
+            for start, block in stretch:
+                values[start:start + len(block)] = block
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = [
+        threading.Thread(target=fill, args=(i, blocks(bounds[i], bounds[i + 1])))
+        for i in range(1, stretches)
+    ]
+    for thread in threads:
+        thread.start()
+    fill(0, first)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    rng.bit_generator.state = _philox_at(rng, m * p.size).bit_generator.state
     return values
 
 

@@ -329,3 +329,27 @@ def test_python_dash_m_mixcut_runs_the_cli(tmp_path):
         [sys.executable, "-m", "mixcut", "bogus"], capture_output=True, text=True, env=env, timeout=60,
     )
     assert usage.returncode == 1 and "usage: mixcut" in usage.stderr
+
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_verify_bytes_do_not_depend_on_cores_or_blas_threads():
+    # the sizes of the diff_node BLAS-rounding case; a child pinned to one
+    # CPU draws each check in one stretch, an unpinned one in one per CPU
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = [sys.executable, "-m", "mixcut", "verify", "--gap-gamma", "0.1", "--k", "37",
+            "--pairs", "1237", "--node-draws", "999", "--seed", "5"]
+    one_cpu = {min(os.sched_getaffinity(0))}
+
+    def start(blas_threads, pinned):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        pin = (lambda: os.sched_setaffinity(0, one_cpu)) if pinned else None
+        return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                env=env, preexec_fn=pin)
+
+    procs = [start(blas, pinned) for blas in ("1", "2") for pinned in (False, True)]
+    runs = [(proc.communicate(timeout=60), proc.returncode) for proc in procs]
+    (stdout, stderr), code = runs[0]
+    assert code == 0 and stdout.startswith("concentration checks: K=37 "), stderr
+    assert all((out, rc) == (stdout, code) for (out, _), rc in runs)

@@ -20,7 +20,7 @@ from mixcut.graph import (
     swap_imbalance,
     true_partition,
 )
-from mixcut.model import Dataset, MixtureModel, constant_gap_mixture, divergence, sample
+from mixcut.model import Dataset, MixtureModel, constant_gap_mixture, divergence, philox, sample
 
 from oracles import cut_weight_brute, four_term_diff, hamming_brute, random_instance, score_brute
 
@@ -195,6 +195,20 @@ def test_diff_node_pair_mean_matches_k_gamma():
     s = dx + dy
     target = model.k * divergence(model)
     assert abs(float(s.mean()) - target) <= 3 * float(s.std(ddof=1)) / math.sqrt(m)
+
+
+def test_diff_node_gaps_do_not_depend_on_how_the_rows_are_blocked():
+    # the rows of the pair check's X draw at pairs=1237, seed 5; a BLAS
+    # matrix-vector product gave some of their gaps a different last bit
+    # in 64-row blocks than in one product over all rows
+    model = constant_gap_mixture(1500, 0.1)
+    z = philox(5, 1).random((1237, model.k)) < model.p1
+    for origin, w in ((1, model.p1 - model.p2), (2, model.p2 - model.p1)):
+        gaps = diff_node(z, model, origin)
+        assert gaps.tobytes() == np.add.reduce(z * w, axis=-1).tobytes()
+        for rows in (1, 64, 655):
+            blocked = np.concatenate([diff_node(z[i:i + rows], model, origin) for i in range(0, len(z), rows)])
+            assert gaps.tobytes() == blocked.tobytes()
 
 
 def test_diff_cut_zero_for_identical_cuts():

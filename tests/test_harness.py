@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import stat
+import sys
 import threading
 import tracemalloc
 
@@ -381,7 +382,7 @@ def test_verify_concentration_rejects_gamma_zero():
 # reproduce these exactly (same RNG streams, same arithmetic).
 VERIFY_PINS = {
     (200, 0): [
-        "pair_gap_mean 0x1.3fffffffffffep+5 0x1.40ad5c735d289p+5 '3 SE = 0.1894' True ''",
+        "pair_gap_mean 0x1.3fffffffffffep+5 0x1.40ad5c735d286p+5 '3 SE = 0.1894' True ''",
         "cut_gap_mean_L1 0x1.dfffffffffffdp+6 0x1.e2a3d70a3d70ap+6 '3 SE = 1.635' True ''",
         "cut_gap_mean_L2 0x1.3fffffffffffep+7 0x1.3f051eb851eb8p+7 '3 SE = 1.847' True ''",
         "bad_node_rate 0x1.47ae147ae147bp-7 0x0.0p+0 'tau + 3 binomial SE = 0.01334' True ''",
@@ -395,7 +396,7 @@ VERIFY_PINS = {
         "delta_event_rate 0x1.0000000000004p-11 0x0.0p+0 'stand-in x 10 = 0.004883 (order bound only)' True ''",
     ],
     (200, 1): [
-        "pair_gap_mean 0x1.3fffffffffffep+5 0x1.3f1345149fc4cp+5 '3 SE = 0.1915' True ''",
+        "pair_gap_mean 0x1.3fffffffffffep+5 0x1.3f1345149fc49p+5 '3 SE = 0.1915' True ''",
         "cut_gap_mean_L1 0x1.dfffffffffffdp+6 0x1.dc71a9fbe76c9p+6 '3 SE = 1.581' True ''",
         "cut_gap_mean_L2 0x1.3fffffffffffep+7 0x1.40a872b020c4ap+7 '3 SE = 1.806' True ''",
         "bad_node_rate 0x1.47ae147ae147bp-7 0x1.0624dd2f1a9fcp-11 'tau + 3 binomial SE = 0.01334' True ''",
@@ -409,7 +410,7 @@ VERIFY_PINS = {
         "delta_event_rate 0x1.0000000000004p-11 0x0.0p+0 'stand-in x 10 = 0.004883 (order bound only)' True ''",
     ],
     (50, 0): [
-        "pair_gap_mean 0x1.3fffffffffffdp+3 0x1.4004d634b422ap+3 '3 SE = 0.0958' True ''",
+        "pair_gap_mean 0x1.3fffffffffffdp+3 0x1.4004d634b4229p+3 '3 SE = 0.0958' True ''",
         "cut_gap_mean_L1 0x1.dfffffffffffcp+4 0x1.df0624dd2f1aap+4 '3 SE = 0.817' True ''",
         "cut_gap_mean_L2 0x1.3fffffffffffdp+5 0x1.3f00000000000p+5 '3 SE = 0.9204' True ''",
         "bad_node_rate 0x1.47ae147ae147bp-7 0x1.3d70a3d70a3d7p-5 'tau + 3 binomial SE = 0.01334' None 'hypothesis unmet: K=50 < 185'",
@@ -454,7 +455,7 @@ def test_verify_concentration_is_pinned(k, seed):
 # VERIFY_PINS format.  These sizes put the draw's block boundaries where the
 # reduced sizes above do not.
 DEFAULT_PIN = [
-    "pair_gap_mean 0x1.3fffffffffffep+5 0x1.4008e28ec0609p+5 '3 SE = 0.03785' True ''",
+    "pair_gap_mean 0x1.3fffffffffffep+5 0x1.4008e28ec0605p+5 '3 SE = 0.03785' True ''",
     "cut_gap_mean_L1 0x1.dfffffffffffdp+6 0x1.e017f62b6ae7dp+6 '3 SE = 0.5052' True ''",
     "cut_gap_mean_L2 0x1.3fffffffffffep+7 0x1.3f85e353f7ceep+7 '3 SE = 0.5871' True ''",
     "bad_node_rate 0x1.47ae147ae147bp-7 0x1.6f0068db8bac7p-12 'tau + 3 binomial SE = 0.01094' True ''",
@@ -528,3 +529,50 @@ def test_chunked_draw_equals_the_oneshot_draw(case):
         assert values.dtype == expected.dtype
         np.testing.assert_array_equal(values, expected)
         assert rng.random(7).tolist() == ref.random(7).tolist()
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 5])
+@pytest.mark.parametrize("lead", [0, 1, 2, 3])
+def test_draw_is_the_same_for_any_number_of_stretches(monkeypatch, cores, lead):
+    # an odd p.size puts the stretches' first words anywhere in a 4-word
+    # Philox block, and `lead` uniforms drawn first leave the caller's own
+    # generator part way through one; a short switch interval interleaves
+    # the stretches' threads often
+    model = constant_gap_mixture(37, 0.1)
+    per = harness._CHUNK_UNIFORMS // model.k
+    monkeypatch.setattr(harness, "_cpu_count", lambda: cores)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for m in (1, 4, per - 1, per, per + 1, 2 * per + 3):
+            rng, ref = philox(3, 9), philox(3, 9)
+            rng.random(lead)
+            ref.random(lead)
+            bits = harness._draw_reduced(rng, m, model.p1, lambda block: block)
+            want = oneshot_bernoulli(ref, (m,), model.p1)
+            np.testing.assert_array_equal(bits, want)
+            assert rng.random(7).tolist() == ref.random(7).tolist()
+            rng, ref = philox(3, 9), philox(3, 9)
+            rng.random(lead)
+            ref.random(lead)
+            values = harness._draw_reduced(rng, m, model.p1, lambda block: diff_node(block, model, 1))
+            expected = diff_node(oneshot_bernoulli(ref, (m,), model.p1), model, 1)
+            assert values.tobytes() == expected.tobytes()
+            assert rng.random(7).tolist() == ref.random(7).tolist()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_exception_in_a_late_stretch_is_raised_by_the_draw(monkeypatch):
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
+    caller = threading.current_thread()
+    running = threading.active_count()
+
+    def reduce(bits):
+        if threading.current_thread() is not caller:
+            raise ZeroDivisionError("late stretch")
+        return bits[:, 0]
+
+    with pytest.raises(ZeroDivisionError, match="late stretch"):
+        harness._draw_reduced(philox(3, 9), 30, np.full(5, 0.5), reduce)
+    assert threading.active_count() == running
