@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,46 +31,19 @@ __all__ = [
     "Metric",
     "CutGraph",
     "BalancedCut",
-    "score",
-    "hamming",
     "build_graph",
     "cut_weight",
     "score_cut_weight",
     "diff_node",
     "diff_cut",
     "swap_count",
-    "swap_imbalance",
     "true_partition",
-    "all_balanced_cuts",
 ]
 
 
 class Metric(enum.Enum):
     SCORE = "score"
     HAMMING = "hamming"
-
-
-def _as_bits(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-D bit vector")
-    return arr
-
-
-def score(x, y) -> int:
-    """Inner product of two equal-length bit vectors."""
-    xa, ya = _as_bits(x), _as_bits(y)
-    if xa.shape != ya.shape:
-        raise ValueError("bit vectors must have equal length")
-    return int(xa @ ya)
-
-
-def hamming(x, y) -> int:
-    """Number of coordinates where two equal-length bit vectors differ."""
-    xa, ya = _as_bits(x), _as_bits(y)
-    if xa.shape != ya.shape:
-        raise ValueError("bit vectors must have equal length")
-    return int(np.sum(xa != ya))
 
 
 @dataclass(frozen=True)
@@ -234,29 +206,7 @@ def swap_count(reference: BalancedCut, other: BalancedCut) -> int:
     return n - max(overlap, n - overlap)
 
 
-def swap_imbalance(dataset: Dataset, swapped_u: Sequence[int], swapped_v: Sequence[int], k: int) -> int:
-    """Bit-sum gap at coordinate k between the two swapped groups."""
-    u = list(swapped_u)
-    v = list(swapped_v)
-    if len(u) != len(v):
-        raise ValueError("swapped groups must have equal size")
-    if not 0 <= k < dataset.k:
-        raise IndexError("dimension index out of range")
-    col = dataset.bits[:, k].astype(np.int64)
-    return int(col[u].sum() - col[v].sum())
-
-
 def true_partition(dataset: Dataset) -> BalancedCut:
     """The bipartition induced by the hidden labels."""
     side = np.flatnonzero(dataset.labels == 1)
     return BalancedCut.from_side(side.tolist(), dataset.n_nodes)
-
-
-def all_balanced_cuts(n_nodes: int) -> Iterator[BalancedCut]:
-    """Every canonical balanced cut, in lexicographic order of the side_s
-    index tuple (node 0 plus an (N-1)-subset of {1..2N-1})."""
-    half = n_nodes // 2
-    if 2 * half != n_nodes:
-        raise ValueError("n_nodes must be even")
-    for rest in combinations(range(1, n_nodes), half - 1):
-        yield BalancedCut.from_side((0,) + rest, n_nodes)

@@ -297,7 +297,8 @@ def run_cell(config: ExperimentConfig, n: int, k: int):
 
 
 def worker_count() -> int:
-    """Number of threads a sweep runs its trials on: always 1."""
+    """Number of threads a sweep runs its trials on: always 1.  Kept only
+    because benchmarks/layered records it; ROADMAP item 1 deletes it."""
     return 1
 
 
@@ -629,8 +630,13 @@ def _imbalance_deviations(cfg: VerifyConfig, key: int):
 
     u = _draw_reduced(rng, m, np.broadcast_to(p1, (l, p1.size)), column_counts)
     v = _draw_reduced(rng, m, np.broadcast_to(p2, (l, p2.size)), column_counts)
-    expected = l * (p1 - p2)
-    return np.abs(u - v - expected) / math.sqrt(l)
+    # one float64 array, updated in place: m x K float64 temporaries, not
+    # the draws, would otherwise set verify's peak memory
+    dev = np.subtract(u, v, dtype=np.float64)
+    dev -= l * (p1 - p2)
+    np.abs(dev, out=dev)
+    dev /= math.sqrt(l)
+    return dev
 
 
 def _check_imbalance_tail(cfg: VerifyConfig) -> list:
@@ -668,7 +674,7 @@ def _check_delta_event_rate(cfg: VerifyConfig) -> CheckResult:
     dev = _imbalance_deviations(cfg, 5)
     m = dev.shape[0]
     budget = delta(cfg.n, cfg.model.k)
-    freq = float((np.sum(dev * dev, axis=1) >= budget).mean())
+    freq = float((np.sum(np.square(dev, out=dev), axis=1) >= budget).mean())
     standin = rho2_standin(cfg.n)
     return CheckResult(
         name="delta_event_rate",

@@ -34,7 +34,8 @@ __all__ = [
 
 
 def active_backend() -> str:
-    """Name of the array backend the kernels run on (recorded by benchmarks)."""
+    """Name of the array backend the kernels run on: always "numpy".  Kept
+    only because benchmarks/layered records it; ROADMAP item 1 deletes it."""
     return "numpy"
 
 

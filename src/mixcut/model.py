@@ -26,7 +26,6 @@ __all__ = [
     "Dataset",
     "divergence",
     "sample",
-    "empirical_center",
     "figure1_mixture",
     "constant_gap_mixture",
     "save_model",
@@ -123,13 +122,6 @@ def sample(model: MixtureModel, n_per_side: int, seed: int) -> Dataset:
     bits = (rng.random(centers.shape) < centers).astype(np.uint8)
     labels = np.repeat(np.array([1, 2], dtype=np.int8), n_per_side)
     return Dataset(bits=bits, labels=labels, n_per_side=n_per_side, seed=int(seed))
-
-
-def empirical_center(dataset: Dataset, label: int) -> np.ndarray:
-    """Coordinate-wise mean of the rows carrying the given label (1 or 2)."""
-    if label not in (1, 2):
-        raise ValueError("label must be 1 or 2")
-    return dataset.bits[dataset.labels == label].mean(axis=0)
 
 
 def figure1_mixture(

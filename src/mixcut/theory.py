@@ -26,9 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .graph import diff_node
 from .model import MixtureModel, divergence
@@ -42,10 +39,8 @@ __all__ = [
     "CASE3_K_COEFF",
     "RHO1_K_COEFF",
     "BAD_NODE_K_COEFF",
-    "TheoryContext",
     "RequiredK",
     "BoundReport",
-    "HoeffdingBound",
     "delta",
     "sigma_sq_bound",
     "required_k",
@@ -54,8 +49,6 @@ __all__ = [
     "expected_gaps",
     "is_bad_node",
     "bad_node_threshold_k",
-    "hoeffding_tail",
-    "hoeffding_tail_two_sample",
     "rho3_exponent_check",
 ]
 
@@ -163,22 +156,6 @@ def required_k(n: int, gamma: float) -> RequiredK:
     )
 
 
-def _degenerate_required_k(n: int) -> RequiredK:
-    inf = math.inf
-    return RequiredK(
-        n=n,
-        gamma=0.0,
-        case1_kn=inf,
-        case1_k=inf,
-        case2_k=inf,
-        case2_kn=inf,
-        case3_k=inf,
-        rho1_k=inf,
-        case1_ceiling=inf,
-        active_case="none",
-    )
-
-
 @dataclass(frozen=True)
 class BoundReport:
     n: int
@@ -213,7 +190,7 @@ def failure_budget(n: int, k: int, gamma: float) -> BoundReport:
     if n < 4:
         raise ValueError("failure_budget needs N >= 4")
     ln_n = math.log(n)
-    rk = required_k(n, gamma) if gamma > 0.0 else _degenerate_required_k(n)
+    rk = required_k(n, gamma)
     dlt = delta(n, k)
     half = n // 2
 
@@ -276,25 +253,6 @@ def failure_budget(n: int, k: int, gamma: float) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class TheoryContext:
-    """Model-level constants for the analysis: eta is the larger of the two
-    per-origin expected score gaps (components are swapped to enforce
-    eta >= K gamma / 2, and the swap recorded)."""
-
-    n: int
-    k: int
-    gamma: float
-    eta: float
-    swapped: bool
-    log_convention: str = LOG_CONVENTION
-
-    @classmethod
-    def from_model(cls, model: MixtureModel, n: int) -> "TheoryContext":
-        eta1, eta2 = expected_gaps(model)
-        return cls(n=n, k=model.k, gamma=divergence(model), eta=max(eta1, eta2), swapped=eta2 > eta1)
-
-
 def expected_gaps(model: MixtureModel) -> tuple:
     """(eta1, eta2): the expected score gap `diff_node` of a node of origin
     1 and of origin 2.  eta1 = p1 . (p1 - p2), and eta2 = K gamma - eta1,
@@ -321,41 +279,6 @@ def bad_node_threshold_k(tau: float, gamma: float) -> int:
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     return int(math.ceil(BAD_NODE_K_COEFF * math.log(1.0 / tau) / gamma))
-
-
-class HoeffdingBound(NamedTuple):
-    value: float
-    degenerate: bool
-
-
-def hoeffding_tail(t: float, widths: Sequence[float]) -> HoeffdingBound:
-    """One-sided tail bound exp(-2 K^2 t^2 / sum_i width_i^2) for the mean
-    of K independent variables with the given range widths deviating by t."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    w = np.asarray(widths, dtype=np.float64)
-    if w.size < 1 or np.any(w < 0.0):
-        raise ValueError("widths must be a non-empty nonnegative sequence")
-    denom = float(np.sum(w * w))
-    if denom == 0.0:
-        return HoeffdingBound(0.0, True)
-    k = w.size
-    return HoeffdingBound(math.exp(-2.0 * k * k * t * t / denom), False)
-
-
-def hoeffding_tail_two_sample(t: float, m: int, n: int, width: float) -> HoeffdingBound:
-    """One-sided bound exp(-2 t^2 / ((1/m + 1/n) width^2)) for the gap of
-    two sample means deviating from its expectation by t."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if m < 1 or n < 1:
-        raise ValueError("sample sizes must be >= 1")
-    if width < 0.0:
-        raise ValueError("width must be nonnegative")
-    if width == 0.0:
-        return HoeffdingBound(0.0, True)
-    denom = (1.0 / m + 1.0 / n) * width * width
-    return HoeffdingBound(math.exp(-2.0 * t * t / denom), False)
 
 
 def rho3_exponent_check(n: int, k: int, gamma: float):

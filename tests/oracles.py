@@ -4,20 +4,17 @@ Everything here is deliberately naive (bitmask loops, double sums) and
 written separately from the production code paths it checks.
 """
 
+from itertools import combinations
+
 import numpy as np
+
+from mixcut.graph import BalancedCut
 
 
 def score_brute(x, y):
     total = 0
     for a, b in zip(x, y):
         total += int(a) * int(b)
-    return total
-
-
-def hamming_brute(x, y):
-    total = 0
-    for a, b in zip(x, y):
-        total += int(int(a) != int(b))
     return total
 
 
@@ -144,3 +141,13 @@ def random_instance(rng, n_per_side, k_lo=4, k_hi=24):
     model = random_model(rng, k)
     seed = int(rng.integers(0, 2**63 - 1))
     return model, sample(model, n_per_side, seed)
+
+
+def all_balanced_cuts(n_nodes: int):
+    """Every canonical balanced cut, in lexicographic order of the side_s
+    index tuple (node 0 plus an (N-1)-subset of {1..2N-1})."""
+    half = n_nodes // 2
+    if 2 * half != n_nodes:
+        raise ValueError("n_nodes must be even")
+    for rest in combinations(range(1, n_nodes), half - 1):
+        yield BalancedCut.from_side((0,) + rest, n_nodes)

@@ -13,7 +13,6 @@ import pytest
 from mixcut.graph import (
     BalancedCut,
     Metric,
-    all_balanced_cuts,
     build_graph,
     cut_weight,
     diff_cut,
@@ -39,7 +38,7 @@ from mixcut.theory import (
     sigma_sq_bound,
 )
 
-from oracles import four_term_diff, naive_extreme_balanced_cut, random_instance
+from oracles import all_balanced_cuts, four_term_diff, naive_extreme_balanced_cut, random_instance
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:

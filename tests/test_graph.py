@@ -8,53 +8,22 @@ from hypothesis import strategies as st
 from mixcut.graph import (
     BalancedCut,
     Metric,
-    all_balanced_cuts,
     build_graph,
     cut_weight,
     diff_cut,
     diff_node,
-    hamming,
-    score,
     score_cut_weight,
     swap_count,
-    swap_imbalance,
     true_partition,
 )
 from mixcut.model import Dataset, MixtureModel, constant_gap_mixture, divergence, philox, sample
 
-from oracles import cut_weight_brute, four_term_diff, hamming_brute, random_instance, score_brute
-
-bit_vectors = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=32)
+from oracles import all_balanced_cuts, cut_weight_brute, four_term_diff, random_instance, score_brute
 
 
 def deterministic_dataset(k=3):
     model = MixtureModel(p1=np.ones(k), p2=np.zeros(k))
     return sample(model, 2, 0)
-
-
-def test_score_examples():
-    assert score([1, 0, 1], [1, 1, 0]) == 1
-    assert score([0, 0, 0], [1, 1, 0]) == 0
-    assert score([1] * 7, [1] * 7) == 7
-    with pytest.raises(ValueError):
-        score([1, 0], [1, 0, 1])
-
-
-def test_hamming_examples():
-    assert hamming([1, 0, 1], [1, 1, 0]) == 2
-    assert hamming([1, 0, 1], [1, 0, 1]) == 0
-    # popcount identity on the worked example
-    assert 2 + 2 - 2 * score([1, 0, 1], [1, 1, 0]) == hamming([1, 0, 1], [1, 1, 0])
-    with pytest.raises(ValueError):
-        hamming([1], [1, 0])
-
-
-@given(bit_vectors, st.randoms(use_true_random=False))
-def test_hamming_score_popcount_identity(x, rnd):
-    y = [rnd.randint(0, 1) for _ in x]
-    assert hamming(x, y) == sum(x) + sum(y) - 2 * score(x, y)
-    assert score(x, y) == score_brute(x, y)
-    assert hamming(x, y) == hamming_brute(x, y)
 
 
 def test_build_graph_deterministic_instance():
@@ -257,17 +226,6 @@ def test_swap_count_mirror_invariance():
     mirrored = BalancedCut.from_side(other.side_sbar, 8)
     assert swap_count(truth, other) == swap_count(truth, mirrored) == 1
     assert 0 <= max(swap_count(truth, c) for c in all_balanced_cuts(8)) <= 2
-
-
-def test_swap_imbalance_examples():
-    model = MixtureModel(p1=np.ones(2), p2=np.zeros(2))
-    ds = sample(model, 2, 0)  # rows 0,1 all ones; rows 2,3 all zeros
-    assert swap_imbalance(ds, [0], [2], k=0) == 1
-    assert swap_imbalance(ds, [0], [1], k=1) == 0
-    with pytest.raises(IndexError):
-        swap_imbalance(ds, [0], [2], k=5)
-    with pytest.raises(ValueError):
-        swap_imbalance(ds, [0, 1], [2], k=0)
 
 
 def test_swap_imbalance_monte_carlo_mean():

@@ -484,6 +484,19 @@ def test_verify_concentration_at_cli_defaults_is_pinned_within_80_mb():
     assert peak < 80e6, f"peak traced allocation {peak / 1e6:.1f} MB"
 
 
+@pytest.mark.parametrize("check", ["_check_imbalance_tail", "_check_delta_event_rate"])
+def test_imbalance_checks_at_cli_defaults_stay_within_25_mb(check):
+    cfg = VerifyConfig(model=constant_gap_mixture(200, 0.2), seed=0)
+    tracemalloc.start()
+    try:
+        getattr(harness, check)(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # whole m x K float64 temporaries (16 MB each) put the peak at 36 MB
+    assert peak < 25e6, f"peak traced allocation {peak / 1e6:.1f} MB"
+
+
 def _dyadic_model(k):
     """A model whose centers are multiples of 1/8, so every gap sum is exact
     in float64 and per-sample values cannot depend on summation order."""

@@ -11,7 +11,6 @@ from mixcut.model import (
     constant_gap_mixture,
     derive_seed,
     divergence,
-    empirical_center,
     figure1_mixture,
     load_model,
     sample,
@@ -103,20 +102,20 @@ def test_sample_mean_matches_binomial_oracle():
 def test_empirical_center_deterministic_component():
     model = MixtureModel(p1=np.ones(5), p2=np.zeros(5))
     ds = sample(model, 4, 3)
-    assert np.array_equal(empirical_center(ds, 1), np.ones(5))
-    assert np.array_equal(empirical_center(ds, 2), np.zeros(5))
+    assert np.array_equal(ds.bits[ds.labels == 1].mean(axis=0), np.ones(5))
+    assert np.array_equal(ds.bits[ds.labels == 2].mean(axis=0), np.zeros(5))
 
 
 def test_empirical_center_single_row():
     model = constant_gap_mixture(6, 0.09)
     ds = sample(model, 1, 5)
-    assert np.array_equal(empirical_center(ds, 1), ds.bits[0].astype(float))
+    assert np.array_equal(ds.bits[ds.labels == 1].mean(axis=0), ds.bits[0].astype(float))
 
 
 def test_empirical_center_binomial_bound():
     model = MixtureModel(p1=np.array([0.3]), p2=np.array([0.3]))
     ds = sample(model, 10_000, 21)
-    assert abs(float(empirical_center(ds, 1)[0]) - 0.3) <= 0.014
+    assert abs(float(ds.bits[ds.labels == 1].mean(axis=0)[0]) - 0.3) <= 0.014
 
 
 def test_empirical_center_error_halves_when_n_quadruples():
@@ -126,7 +125,7 @@ def test_empirical_center_error_halves_when_n_quadruples():
         errs = []
         for s in range(20):
             ds = sample(model, n, derive_seed(3, n, 50, s))
-            errs.append(float(np.abs(empirical_center(ds, 1) - model.p1).max()))
+            errs.append(float(np.abs(ds.bits[ds.labels == 1].mean(axis=0) - model.p1).max()))
         return float(np.mean(errs))
 
     ratio = mean_max_err(2000) / mean_max_err(500)

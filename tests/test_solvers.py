@@ -8,7 +8,6 @@ from mixcut.graph import (
     BalancedCut,
     CutGraph,
     Metric,
-    all_balanced_cuts,
     build_graph,
     cut_weight,
     true_partition,
@@ -25,7 +24,7 @@ from mixcut.solvers import (
     solve_spectral,
 )
 
-from oracles import naive_extreme_balanced_cut, naive_hillclimb, random_instance, svd_split
+from oracles import all_balanced_cuts, naive_extreme_balanced_cut, naive_hillclimb, random_instance, svd_split
 
 
 def deterministic_dataset(k=3, n=2):

@@ -7,13 +7,10 @@ import pytest
 from mixcut.model import MixtureModel, constant_gap_mixture, divergence
 from mixcut.theory import (
     LOG_CONVENTION,
-    TheoryContext,
     bad_node_threshold_k,
     delta,
     expected_gaps,
     failure_budget,
-    hoeffding_tail,
-    hoeffding_tail_two_sample,
     is_bad_node,
     required_k,
     rho2_standin,
@@ -123,23 +120,10 @@ def test_failure_budget_flags_and_k_monotonicity():
     assert t2 <= t1
 
 
-def test_failure_budget_handles_gamma_zero_without_raising():
-    report = failure_budget(6, 50, 0.0)
-    assert report.required_k.active_case == "none"
-    assert report.satisfied["active"] is False
-    assert math.isinf(report.required_k.case3_k)
-
-
-def test_theory_context_orientation():
-    model = MixtureModel(p1=[0.1, 0.2], p2=[0.9, 0.8])
-    ctx = TheoryContext.from_model(model, n=4)
-    kg = model.k * divergence(model)
-    assert ctx.swapped is True
-    assert ctx.eta >= kg / 2
-    assert ctx.eta + (kg - ctx.eta) == pytest.approx(kg, rel=0, abs=0)
-    flipped = TheoryContext.from_model(MixtureModel(p1=[0.9, 0.8], p2=[0.1, 0.2]), n=4)
-    assert flipped.swapped is False
-    assert flipped.eta == pytest.approx(ctx.eta, rel=1e-12)
+def test_failure_budget_refuses_nonpositive_gamma():
+    for gamma in (0.0, -0.1):
+        with pytest.raises(ValueError, match="gamma > 0"):
+            failure_budget(6, 50, gamma)
 
 
 def test_is_bad_node_edge_cases():
@@ -187,27 +171,6 @@ def test_is_bad_node_tail_at_threshold_dimension():
     draws = (rng.random((m, k)) < model.p1) @ gaps
     freq = float((draws < eta1 - kg / 4.0).mean())
     assert freq <= tau + 3 * math.sqrt(tau * (1 - tau) / m)
-
-
-def test_hoeffding_tail_values():
-    assert hoeffding_tail(0.1, [1.0] * 100).value == pytest.approx(math.exp(-2.0), rel=1e-12)
-    assert hoeffding_tail(0.1, [1.0] * 100).degenerate is False
-    small, large = hoeffding_tail(0.2, [1.0] * 100), hoeffding_tail(2.0, [1.0] * 100)
-    assert large.value < small.value
-    assert hoeffding_tail(5.0, [1.0] * 10).value < 1e-200
-    assert hoeffding_tail(0.5, [0.0, 0.0]) == (0.0, True)
-    with pytest.raises(ValueError):
-        hoeffding_tail(0.0, [1.0])
-    with pytest.raises(ValueError):
-        hoeffding_tail(0.5, [-1.0])
-
-
-def test_hoeffding_two_sample_matches_unit_deviation_bound():
-    # m = n = L with unit range at t = t_k / sqrt(L) gives exp(-t_k^2)
-    for l, t_k in ((5, 1.3), (8, 0.7)):
-        bound = hoeffding_tail_two_sample(t_k / math.sqrt(l), l, l, 1.0)
-        assert bound.value == pytest.approx(math.exp(-t_k * t_k), rel=1e-12)
-    assert hoeffding_tail_two_sample(0.5, 4, 4, 0.0) == (0.0, True)
 
 
 def test_rho3_exponent_inequality_on_satisfied_grid():
