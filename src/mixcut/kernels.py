@@ -2,8 +2,9 @@
 
 Both run on numpy alone.  The exact search is Horowitz-Sahni split-and-list
 over the two node halves, scored with dense float64 matrix products (exact
-on integer weights).  The hill climber scores every swap of a step at
-once, in int64.  ``benchmarks/layered/run.py`` times both solvers.
+on integer weights).  The hill climber scores, in int64, only the swaps of
+a step that a per-node bound cannot rule out.  ``benchmarks/layered/run.py``
+times both solvers.
 
 Cut-weight bookkeeping used throughout: with membership m (1 = side_s),
 g[v] = sum_{j in S} w[v, j] and rowtot[v] = sum_j w[v, j], the cut weight is
@@ -11,11 +12,27 @@ sum_{v not in S} g[v] = rowtot . m - m^T w m; moving v into S changes the
 weight by rowtot[v] - 2 g[v], moving it out by 2 g[v] - rowtot[v], and
 swapping u in S with v outside changes it by
 2 g[u] - 2 g[v] + 2 w[u, v] - rowtot[u] + rowtot[v] = 2 w[u, v] + c[u] - c[v]
-with the per-node vector c = 2 g - rowtot.  The climber keeps c alone (a
-swap of u out and v in adds 2 w[:, v] - 2 w[:, u] to it) and forms each
-step's |S| x |S-bar| block of 2 w from a precomputed 2 w with two
-contiguous `take`s, one per axis, which is several times cheaper than fancy
-indexing with `np.ix_`; it then adds c[u] and subtracts c[v] in place.
+with the per-node vector c = 2 g - rowtot.  This needs symmetric weights,
+which `CutGraph` enforces.  The climber keeps c alone (a swap of u out and
+v in adds 2 w[:, v] - 2 w[:, u] to it).
+
+The bound: with row_top[a] and col_top[a] the largest entry of row a and
+of column a of 2 w (computed once per climb), every swap of a step has
+    delta(u, v) <= c[u] + row_top[u] - min_{S-bar} c
+    delta(u, v) <= max_S c - c[v] + col_top[v].
+The floor is the gain of one swap of the step, the one between argmax_S c
+and argmin_{S-bar} c, so it never exceeds the step's best gain (under
+first_improvement the floor is 1, the least positive integer gain).  A
+step keeps the rows u whose first bound reaches the floor and the columns
+v whose second bound does, and scores that sub-block only: from the
+precomputed 2 w with two contiguous `take`s, one per axis (several times
+cheaper than `np.ix_` fancy indexing), then adding c[u] and subtracting
+c[v] in place.  It is exact: every swap dropped scores below the floor, so
+every maximiser (every positive gain under first_improvement) lies in the
+sub-block, and the sub-block keeps the (u ascending, v ascending) order,
+so its row-major first maximiser is the whole block's.  On the
+benchmark's Hamming graphs a best-improvement step keeps about 0.1% of
+the block.
 """
 
 from __future__ import annotations
@@ -113,10 +130,19 @@ def hillclimb_sweep(weights: np.ndarray, membership: np.ndarray, first_improveme
     each step applies the first swap attaining the best positive gain (with
     `first_improvement`, the first positive one).  Returns (weight,
     membership, evaluations, trace), where trace lists the cut weight after
-    each accepted swap.
+    each accepted swap.  `weights` must be symmetric, as `CutGraph`
+    enforces: the gain formula in the module docstring relies on it.
+
+    Each step scores only the rows and columns whose bound reaches the
+    step's floor (see the module docstring); every swap left out scores
+    below the floor, so the swap taken is the one a scan of the whole
+    |S| x |S-bar| block takes.  `evaluations` still counts |S| |S-bar|
+    per step, since the bound covers every swap of the step.
     """
     w = np.asarray(weights, dtype=np.int64)
     w2 = 2 * w
+    row_top = w2.max(axis=1)
+    col_top = w2.max(axis=0)
     in_s = np.asarray(membership).astype(bool)
     g = w[:, in_s].sum(axis=1)
     weight = int(g[~in_s].sum())
@@ -124,23 +150,30 @@ def hillclimb_sweep(weights: np.ndarray, membership: np.ndarray, first_improveme
     evals = 0
     trace: list[int] = []
     while True:
-        s_idx = np.flatnonzero(in_s)
-        sbar_idx = np.flatnonzero(~in_s)
+        s_idx = in_s.nonzero()[0]
+        sbar_idx = (~in_s).nonzero()[0]
+        evals += s_idx.size * sbar_idx.size
+        c_s = c[s_idx]
+        c_sbar = c[sbar_idx]
+        i = c_s.argmax()
+        j = c_sbar.argmin()
+        hi = c_s[i]
+        lo = c_sbar[j]
+        # the gain of one swap of the step, so no more than the step's best
+        floor = 1 if first_improvement else w2[s_idx[i], sbar_idx[j]] + hi - lo
+        rows = s_idx[c_s + row_top[s_idx] >= floor + lo]
+        cols = sbar_idx[col_top[sbar_idx] - c_sbar >= floor - hi]
+        if rows.size == 0 or cols.size == 0:  # only under first_improvement
+            break
         # delta[u, v] = 2 w[u, v] + c[u] - c[v] for swapping u (side_s) with v (side_sbar)
-        delta = w2.take(s_idx, axis=0).take(sbar_idx, axis=1)
-        delta += c[s_idx][:, None]
-        delta -= c[sbar_idx]
-        evals += delta.size
-        if first_improvement:
-            pos = np.argwhere(delta > 0)
-            if pos.size == 0:
-                break
-            ui, vi = pos[0]
-        else:
-            ui, vi = divmod(int(np.argmax(delta)), delta.shape[1])
-            if delta[ui, vi] <= 0:
-                break
-        u, v = int(s_idx[ui]), int(sbar_idx[vi])
+        delta = w2.take(rows, axis=0).take(cols, axis=1)
+        delta += c[rows][:, None]
+        delta -= c[cols]
+        # row-major first maximum of the gains, or of (gain > 0) under first_improvement
+        ui, vi = divmod(int(np.argmax(delta > 0 if first_improvement else delta)), delta.shape[1])
+        if delta[ui, vi] <= 0:
+            break
+        u, v = int(rows[ui]), int(cols[vi])
         in_s[u] = False
         in_s[v] = True
         c += w2[:, v]

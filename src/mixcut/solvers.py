@@ -56,6 +56,14 @@ class DegenerateInstanceError(ValueError):
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solver's cut and its weight.
+
+    `evaluations` counts every cut or swap the solver's scans cover:
+    C(2N-1, N-1) cuts for exact; for hill climbing, |S| |S-bar| swaps per
+    step, pruned by the kernel's bound or scored, plus one per restart; 1
+    for spectral.
+    """
+
     best_cut: BalancedCut
     best_weight: int
     method: str

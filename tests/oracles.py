@@ -82,6 +82,50 @@ def naive_hillclimb(weights, membership, first_improvement=False):
     return weight, [int(i in inside) for i in range(n)], evals, trace
 
 
+def full_scan_hillclimb(weights: np.ndarray, membership: np.ndarray, first_improvement: bool = False):
+    """Best-improvement 1-swap local search from a balanced start.
+
+    Scan order is (u ascending over side_s) x (v ascending over side_sbar);
+    each step applies the first swap attaining the best positive gain (with
+    `first_improvement`, the first positive one).  Returns (weight,
+    membership, evaluations, trace), where trace lists the cut weight after
+    each accepted swap.
+    """
+    w = np.asarray(weights, dtype=np.int64)
+    w2 = 2 * w
+    in_s = np.asarray(membership).astype(bool)
+    g = w[:, in_s].sum(axis=1)
+    weight = int(g[~in_s].sum())
+    c = 2 * g - w.sum(axis=1)
+    evals = 0
+    trace: list[int] = []
+    while True:
+        s_idx = np.flatnonzero(in_s)
+        sbar_idx = np.flatnonzero(~in_s)
+        # delta[u, v] = 2 w[u, v] + c[u] - c[v] for swapping u (side_s) with v (side_sbar)
+        delta = w2.take(s_idx, axis=0).take(sbar_idx, axis=1)
+        delta += c[s_idx][:, None]
+        delta -= c[sbar_idx]
+        evals += delta.size
+        if first_improvement:
+            pos = np.argwhere(delta > 0)
+            if pos.size == 0:
+                break
+            ui, vi = pos[0]
+        else:
+            ui, vi = divmod(int(np.argmax(delta)), delta.shape[1])
+            if delta[ui, vi] <= 0:
+                break
+        u, v = int(s_idx[ui]), int(sbar_idx[vi])
+        in_s[u] = False
+        in_s[v] = True
+        c += w2[:, v]
+        c -= w2[:, u]
+        weight += int(delta[ui, vi])
+        trace.append(weight)
+    return weight, in_s.astype(np.uint8), evals, trace
+
+
 def svd_split(bits):
     """Spectral split taken from a thin SVD of the column-centred bits.
 

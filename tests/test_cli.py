@@ -6,8 +6,14 @@ import sys
 
 import pytest
 
+import mixcut
 from mixcut.cli import main
 from mixcut.model import divergence, load_model
+
+
+# the directory holding the imported package, put first on a child's path
+# so that the child runs the code under test
+MIXCUT_PATH = os.path.dirname(os.path.dirname(os.path.abspath(mixcut.__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -316,8 +322,7 @@ def test_verify_refuses_k_with_model(tmp_path, capsys):
 
 def test_python_dash_m_mixcut_runs_the_cli(tmp_path):
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = MIXCUT_PATH + os.pathsep + env.get("PYTHONPATH", "")
     out = tmp_path / "m.json"
     proc = subprocess.run(
         [sys.executable, "-m", "mixcut", "gen", "--gap-gamma", "0.25", "--k", "40", "--out", str(out)],
@@ -336,14 +341,13 @@ def test_python_dash_m_mixcut_runs_the_cli(tmp_path):
 def test_verify_bytes_do_not_depend_on_cores_or_blas_threads():
     # the sizes of the diff_node BLAS-rounding case; a child pinned to one
     # CPU draws each check in one stretch, an unpinned one in one per CPU
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     argv = [sys.executable, "-m", "mixcut", "verify", "--gap-gamma", "0.1", "--k", "37",
             "--pairs", "1237", "--node-draws", "999", "--seed", "5"]
     one_cpu = {min(os.sched_getaffinity(0))}
 
     def start(blas_threads, pinned):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = MIXCUT_PATH + os.pathsep + env.get("PYTHONPATH", "")
         pin = (lambda: os.sched_setaffinity(0, one_cpu)) if pinned else None
         return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                                 env=env, preexec_fn=pin)

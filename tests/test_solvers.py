@@ -24,7 +24,14 @@ from mixcut.solvers import (
     solve_spectral,
 )
 
-from oracles import all_balanced_cuts, naive_extreme_balanced_cut, naive_hillclimb, random_instance, svd_split
+from oracles import (
+    all_balanced_cuts,
+    full_scan_hillclimb,
+    naive_extreme_balanced_cut,
+    naive_hillclimb,
+    random_instance,
+    svd_split,
+)
 
 
 def deterministic_dataset(k=3, n=2):
@@ -172,6 +179,51 @@ def test_hillclimb_sweep_matches_naive_climber_on_sampled_graphs():
             start = _random_balanced_membership(2 * n_per_side, rng)
             _assert_sweep_matches_naive(build_graph(ds, Metric.HAMMING).weights, start)
             _assert_sweep_matches_naive(-build_graph(ds, Metric.SCORE).weights, start)
+
+
+def _assert_sweep_matches_full_scan(weights, starts):
+    for start in starts:
+        for first_improvement in (False, True):
+            weight, m, evals, trace = kernels.hillclimb_sweep(weights, start, first_improvement)
+            want_weight, want_m, want_evals, want_trace = full_scan_hillclimb(weights, start, first_improvement)
+            assert (weight, m.tolist(), evals, trace) == (want_weight, want_m.tolist(), want_evals, want_trace)
+
+
+@pytest.mark.parametrize("gamma", (0.05, 0.25))
+@pytest.mark.parametrize("k", (10, 100, 2000))
+@pytest.mark.parametrize("n_per_side", (4, 16, 64, 128))
+def test_hillclimb_sweep_matches_full_scan_on_sampled_graphs(n_per_side, k, gamma):
+    # Hamming graphs and the negated score graphs that `solve` climbs on,
+    # three restarts each, in both modes
+    ds = sample(constant_gap_mixture(k, gamma), n_per_side, derive_seed(113, n_per_side, k, int(100 * gamma)))
+    rng = np.random.default_rng(derive_seed(114, n_per_side, k))
+    starts = [_random_balanced_membership(2 * n_per_side, rng) for _ in range(3)]
+    _assert_sweep_matches_full_scan(build_graph(ds, Metric.HAMMING).weights, starts)
+    _assert_sweep_matches_full_scan(-build_graph(ds, Metric.SCORE).weights, starts)
+
+
+def test_hillclimb_sweep_matches_full_scan_when_every_swap_ties():
+    rng = np.random.default_rng(115)
+    for n_nodes in (2, 4, 16, 64):
+        starts = [_random_balanced_membership(n_nodes, rng) for _ in range(3)]
+        # equal off-diagonal weights: every swap gains 0, so no step is taken
+        flat = np.full((n_nodes, n_nodes), 3, dtype=np.int64)
+        np.fill_diagonal(flat, 0)
+        _assert_sweep_matches_full_scan(flat, starts)
+        # weight 5 within the start's sides and 2 across: every first-step
+        # swap gains 6 (N - 1), and the bound keeps every row and column
+        for start in starts:
+            same = start[:, None] == start[None, :]
+            two_level = np.where(same, 5, 2).astype(np.int64)
+            np.fill_diagonal(two_level, 0)
+            _assert_sweep_matches_full_scan(two_level, [start])
+
+
+def test_hillclimb_sweep_matches_full_scan_on_two_nodes():
+    for weights in ([[0, 0], [0, 0]], [[0, 7], [7, 0]], [[0, -7], [-7, 0]]):
+        weights = np.array(weights, dtype=np.int64)
+        _assert_sweep_matches_full_scan(weights, [np.array([1, 0], np.uint8), np.array([0, 1], np.uint8)])
+        assert kernels.hillclimb_sweep(weights, np.array([1, 0], np.uint8))[2:] == (1, [])
 
 
 def test_hillclimb_never_beats_exact_and_is_deterministic():
