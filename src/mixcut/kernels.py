@@ -1,10 +1,10 @@
 """Hot inner loops: exact balanced-cut search and 1-swap hill climbing.
 
 Both run on numpy alone.  The exact search is Horowitz-Sahni split-and-list
-over the two node halves, scored with dense float64 matrix products (exact
-on integer weights).  The hill climber scores, in int64, only the swaps of
-a step that a per-node bound cannot rule out.  ``benchmarks/layered/run.py``
-times both solvers.
+over the two node halves, each size class scored by one float64 matrix
+product (exact on integer weights).  The hill climber scores, in int64,
+only the swaps of a step that a per-node bound cannot rule out.
+``benchmarks/layered/run.py`` times both solvers.
 
 Cut-weight bookkeeping used throughout: with membership m (1 = side_s),
 g[v] = sum_{j in S} w[v, j] and rowtot[v] = sum_j w[v, j], the cut weight is
@@ -16,8 +16,25 @@ with the per-node vector c = 2 g - rowtot.  This needs symmetric weights,
 which `CutGraph` enforces.  The climber keeps c alone (a swap of u out and
 v in adds 2 w[:, v] - 2 w[:, u] to it).
 
+The exact search: with A = {0..N-1} and B = {N..2N-1}, a cut with halves
+m_A, m_B weighs f_A(m_A) + f_B(m_B) - 2 m_A W_AB m_B, where
+f_X(m) = m^T (diag(r_X) - W_XX) m and r is the row totals.  `_tables`
+caches, per half size, every A-membership holding node 0 and every
+B-membership, one column each, grouped by size class s = |side_s & A|.
+Each call builds the columns
+    a = [-2 W_AB^T m_A; f_A(m_A); 1]    and    b = [m_B; 1; f_B(m_B)]
+once, so a . b is the cut's weight, and scores class s as one product of
+the two tables' column slices for s, written into one buffer reused by
+every class.
+One argmax per class finds its top and its row-major first maximiser,
+which is the lex-least side_s of the class; a class whose top beats no
+earlier one is skipped, else the scores equal to the top are counted for
+the tie flag.  Every term and partial sum is an integer at most
+2 n^2 max|w| (n = 2N), so the guard 4 n^2 max|w| < 2**53 keeps every
+score exact in any summation order.
+
 The bound: with row_top[a] and col_top[a] the largest entry of row a and
-of column a of 2 w (computed once per climb), every swap of a step has
+of column a of 2 w (computed once per graph), every swap of a step has
     delta(u, v) <= c[u] + row_top[u] - min_{S-bar} c
     delta(u, v) <= max_S c - c[v] + col_top[v].
 The floor is the gain of one swap of the step, the one between argmax_S c
@@ -57,30 +74,43 @@ def active_backend() -> str:
 
 
 @lru_cache(maxsize=None)
-def _subsets(size: int, pick: int) -> np.ndarray:
-    """Memberships of every pick-subset of range(size), one float64 row each,
-    in lexicographic order of the subsets' index tuples (read-only)."""
-    rows = math.comb(size, pick)
-    idx = np.array(list(combinations(range(size), pick)), dtype=np.intp).reshape(rows, pick)
-    table = np.zeros((rows, size))
-    np.put_along_axis(table, idx, 1.0, axis=1)
-    table.flags.writeable = False
-    return table
+def _tables(half: int):
+    """Subset tables of one node half, built on first use and cached.
 
-
-def _side_weights(m: np.ndarray, w_xx: np.ndarray, r_x: np.ndarray) -> np.ndarray:
-    """f_X(m) = r_X . m - m^T W_XX m for every row m of a membership table."""
-    return m @ r_x - ((m @ w_xx) * m).sum(axis=1)
+    Returns (m_a, m_b, classes).  m_a stacks, for s = 1..half in turn, the
+    memberships of the s-subsets of range(half) that hold node 0; m_b
+    stacks the (half - s)-subsets.  Each table is float64 0/1 with one
+    column per subset, each class in lexicographic order of its subsets'
+    index tuples; classes[s - 1] is the pair of column slices (of m_a, of
+    m_b) for class s.  Both tables are read-only, so no caller can corrupt
+    the cache.
+    """
+    a_sets, b_sets, classes = [], [], []
+    for s in range(1, half + 1):
+        a = [(0, *rest) for rest in combinations(range(1, half), s - 1)]
+        b = list(combinations(range(half), half - s))
+        classes.append((slice(len(a_sets), len(a_sets) + len(a)), slice(len(b_sets), len(b_sets) + len(b))))
+        a_sets += a
+        b_sets += b
+    tables = []
+    for sets in (a_sets, b_sets):
+        table = np.zeros((half, len(sets)))
+        for col, members in enumerate(sets):
+            table[members, col] = 1.0
+        table.flags.writeable = False
+        tables.append(table)
+    return tables[0], tables[1], tuple(classes)
 
 
 def exact_max_balanced_cut(weights: np.ndarray):
     """Maximum-weight canonical balanced cut by split-and-list.
 
     Nodes split into A = {0..N-1} (node 0 always on side_s) and
-    B = {N..2N-1}.  For each count s = |side_s & A|, every cut is scored at
-    once as f_A(m_A) + f_B(m_B) - 2 m_A W_AB m_B^T, with matrix products over
-    the subset tables of the two halves.  Weights are integers and every
-    term stays below 2**53, so the float64 scores are exact.
+    B = {N..2N-1}.  For each count s = |side_s & A|, every cut of the class
+    is scored at once as f_A(m_A) + f_B(m_B) - 2 m_A W_AB m_B^T by one
+    matrix product of augmented subset tables (see the module docstring).
+    Weights are integers and every partial sum stays below 2**53, so the
+    float64 scores are exact.
 
     Returns (best_weight, membership uint8[n], tie, evaluations); ties keep
     the lexicographically smallest side_s index tuple and set `tie`, and
@@ -93,33 +123,48 @@ def exact_max_balanced_cut(weights: np.ndarray):
     if 4 * n * n * int(np.abs(w).max()) >= 2**53:
         raise ValueError("edge weights too large for exact float64 cut scores")
     half = n // 2
+    m_a, m_b, classes = _tables(half)
     wf = w.astype(np.float64)
     r = wf.sum(axis=1)
-    a, b = slice(0, half), slice(half, n)
-    best_w, best_side, winners, evals = None, None, 0, 0
-    for s in range(1, half + 1):
-        # the subsets holding node 0 are the first C(N-1, s-1) rows
-        m_a = _subsets(half, s)[: math.comb(half - 1, s - 1)]
-        m_b = _subsets(half, half - s)
-        scores = (
-            _side_weights(m_a, wf[a, a], r[a])[:, None]
-            + _side_weights(m_b, wf[b, b], r[b])
-            - 2.0 * (m_a @ wf[a, b] @ m_b.T)
-        )
-        evals += scores.size
-        top = scores.max()
+    # columns [-2 W_AB^T m_A; f_A; 1] and [m_B; 1; f_B]: each pair's dot
+    # product is the cut's weight
+    a_aug = np.empty((half + 2, m_a.shape[1]))
+    b_aug = np.empty((half + 2, m_b.shape[1]))
+    np.matmul(-2.0 * wf[:half, half:].T, m_a, out=a_aug[:half])
+    b_aug[:half] = m_b
+    a_aug[half + 1] = 1.0
+    b_aug[half] = 1.0
+    for m, aug, row, x in ((m_a, a_aug, half, slice(0, half)), (m_b, b_aug, half + 1, slice(half, n))):
+        q = (np.diag(r[x]) - wf[x, x]) @ m
+        q *= m
+        aug[row] = q.sum(axis=0)
+    # one buffer for every class's scores: fresh pages for each block cost
+    # more than the product itself
+    buf = np.empty(max((ra.stop - ra.start) * (rb.stop - rb.start) for ra, rb in classes))
+
+    def side(at):
+        return tuple(np.flatnonzero(m_a[:, at[0]]).tolist()) + tuple((half + np.flatnonzero(m_b[:, at[1]])).tolist())
+
+    best_w, best_at, winners, evals = None, None, 0, 0
+    for cols_a, cols_b in classes:
+        width = cols_b.stop - cols_b.start
+        flat = buf[: (cols_a.stop - cols_a.start) * width]
+        np.matmul(a_aug[:, cols_a].T, b_aug[:, cols_b], out=flat.reshape(-1, width))
+        evals += flat.size
+        # row-major first maximiser: lex-least side_s among this s; every
+        # score before it is lower
+        top_at = int(np.argmax(flat))
+        top = flat[top_at]
         if best_w is not None and top < best_w:
             continue
-        # row-major first maximiser: lex-least side_s among this s
-        i, j = divmod(int(np.argmax(scores)), scores.shape[1])
-        side = tuple(np.flatnonzero(m_a[i]).tolist()) + tuple((half + np.flatnonzero(m_b[j])).tolist())
-        hits = int(np.count_nonzero(scores == top))
+        hits = int(np.count_nonzero(flat[top_at:] == top))
+        at = (cols_a.start + top_at // width, cols_b.start + top_at % width)
         if best_w is None or top > best_w:
-            best_w, best_side, winners = top, side, hits
+            best_w, best_at, winners = top, at, hits
         else:
-            best_side, winners = min(best_side, side), winners + hits
+            best_at, winners = min(best_at, at, key=side), winners + hits
     membership = np.zeros(n, dtype=np.uint8)
-    membership[list(best_side)] = 1
+    membership[list(side(best_at))] = 1
     return int(best_w), membership, winners > 1, evals
 
 
@@ -138,15 +183,28 @@ def hillclimb_sweep(weights: np.ndarray, membership: np.ndarray, first_improveme
     below the floor, so the swap taken is the one a scan of the whole
     |S| x |S-bar| block takes.  `evaluations` still counts |S| |S-bar|
     per step, since the bound covers every swap of the step.
+
+    Restarts on one graph share its graph-only terms: `solve_hillclimb`
+    makes them once with `_climb_terms` and calls `_climb` per restart.
     """
+    return _climb(_climb_terms(weights), membership, first_improvement)
+
+
+def _climb_terms(weights: np.ndarray):
+    """The graph-only terms of a climb, shared by every restart on one graph:
+    (w, 2 w, row maxima of 2 w, column maxima of 2 w, row totals of w)."""
     w = np.asarray(weights, dtype=np.int64)
     w2 = 2 * w
-    row_top = w2.max(axis=1)
-    col_top = w2.max(axis=0)
+    return w, w2, w2.max(axis=1), w2.max(axis=0), w.sum(axis=1)
+
+
+def _climb(terms, membership: np.ndarray, first_improvement: bool):
+    """`hillclimb_sweep` on the terms `_climb_terms` made for its weights."""
+    w, w2, row_top, col_top, rowtot = terms
     in_s = np.asarray(membership).astype(bool)
     g = w[:, in_s].sum(axis=1)
     weight = int(g[~in_s].sum())
-    c = 2 * g - w.sum(axis=1)
+    c = 2 * g - rowtot
     evals = 0
     trace: list[int] = []
     while True:

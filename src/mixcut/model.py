@@ -84,7 +84,7 @@ class Dataset:
         n = self.n_per_side
         if bits.ndim != 2 or bits.shape[0] != 2 * n:
             raise ValueError("bits must be a 2N x K matrix")
-        if np.any((bits != 0) & (bits != 1)):
+        if bits.max(initial=0) > 1:
             raise ValueError("bits must be 0/1 valued")
         if labels.shape != (2 * n,):
             raise ValueError("labels must have length 2N")
@@ -114,12 +114,12 @@ def sample(model: MixtureModel, n_per_side: int, seed: int) -> Dataset:
     """Draw N rows from each component, bit-reproducible for a given seed."""
     if n_per_side < 1:
         raise ValueError("n_per_side must be >= 1")
-    rng = philox(seed)
-    centers = np.vstack([
-        np.broadcast_to(model.p1, (n_per_side, model.k)),
-        np.broadcast_to(model.p2, (n_per_side, model.k)),
-    ])
-    bits = (rng.random(centers.shape) < centers).astype(np.uint8)
+    # bit [i, k] takes uniform [i, k] of one C-order draw; each half is
+    # compared against its own center straight into the uint8 array
+    uniform = philox(seed).random((2 * n_per_side, model.k))
+    bits = np.empty(uniform.shape, dtype=np.uint8)
+    np.less(uniform[:n_per_side], model.p1, out=bits[:n_per_side].view(bool))
+    np.less(uniform[n_per_side:], model.p2, out=bits[n_per_side:].view(bool))
     labels = np.repeat(np.array([1, 2], dtype=np.int8), n_per_side)
     return Dataset(bits=bits, labels=labels, n_per_side=n_per_side, seed=int(seed))
 

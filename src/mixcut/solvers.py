@@ -120,9 +120,10 @@ def solve_hillclimb(
     best_m = None
     tie = False
     total_evals = 0
+    terms = kernels._climb_terms(graph.weights)
     for r in range(restarts):
         start = _random_balanced_membership(graph.n_nodes, philox(seed, r))
-        w, m, evals, _trace = kernels.hillclimb_sweep(graph.weights, start, first_improvement)
+        w, m, evals, _trace = kernels._climb(terms, start, first_improvement)
         if m[0] == 0:
             m = 1 - m
         total_evals += evals + 1

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -132,6 +133,56 @@ def test_exact_cap_refusal_names_the_cap():
     assert solve_exact(graph, cap_nodes=26).best_weight >= 0
 
 
+@pytest.mark.parametrize("n_nodes", (8, 10))
+def test_exact_is_exact_at_the_float64_guard_and_refuses_one_step_over(n_nodes):
+    # the largest max|w| the guard admits, 4 n^2 max|w| < 2**53; the oracle
+    # sums Python ints, so any rounding in the float64 scores would show
+    top = (2**53 - 1) // (4 * n_nodes * n_nodes)
+    assert 4 * n_nodes * n_nodes * (top + 1) >= 2**53
+    rng = np.random.default_rng(120 + n_nodes)
+    ties = 0
+    for trial in range(12):
+        if trial % 2:
+            upper = rng.integers(-1, 2, size=(n_nodes, n_nodes)) * top  # {-top, 0, top}: ties
+        else:
+            upper = rng.integers(-top, top + 1, size=(n_nodes, n_nodes))
+        upper = np.triu(upper, 1)
+        upper[0, 1 + trial % (n_nodes - 1)] = top if trial % 4 < 2 else -top
+        weights = upper + upper.T
+        assert int(np.abs(weights).max()) == top
+        best_w, m, tie, evals = kernels.exact_max_balanced_cut(weights)
+        want = naive_extreme_balanced_cut(weights.tolist(), maximize=True)
+        assert (best_w, tuple(np.flatnonzero(m).tolist()), tie) == want
+        assert evals == math.comb(n_nodes - 1, n_nodes // 2 - 1)
+        ties += tie
+        over = weights.copy()
+        over[0, 1] = over[1, 0] = -(top + 1)
+        with pytest.raises(ValueError, match="too large"):
+            kernels.exact_max_balanced_cut(over)
+    assert ties >= 1
+
+
+def test_exact_tables_keep_combination_order_and_are_read_only():
+    for half in range(1, 8):
+        m_a, m_b, classes = kernels._tables(half)
+        assert [len(classes), m_a.shape[0], m_b.shape[0]] == [half, half, half]
+        for s, (cols_a, cols_b) in enumerate(classes, start=1):
+            want_a = [c for c in combinations(range(half), s) if c[0] == 0]
+            want_b = list(combinations(range(half), half - s))
+            assert [tuple(np.flatnonzero(col).tolist()) for col in m_a[:, cols_a].T] == want_a
+            assert [tuple(np.flatnonzero(col).tolist()) for col in m_b[:, cols_b].T] == want_b
+        # the classes tile both tables in order
+        assert [c[0].start for c in classes] == [0] + [c[0].stop for c in classes[:-1]]
+        assert [c[1].start for c in classes] == [0] + [c[1].stop for c in classes[:-1]]
+        assert (classes[-1][0].stop, classes[-1][1].stop) == (m_a.shape[1], m_b.shape[1])
+        assert set(np.unique(m_a)) | set(np.unique(m_b)) <= {0.0, 1.0}
+        for table in (m_a, m_b):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+        assert kernels._tables(half) is kernels._tables(half)
+
+
 def test_exact_recovers_partition_at_high_dimension():
     model = constant_gap_mixture(200, 0.25)
     hits = 0
@@ -224,6 +275,30 @@ def test_hillclimb_sweep_matches_full_scan_on_two_nodes():
         weights = np.array(weights, dtype=np.int64)
         _assert_sweep_matches_full_scan(weights, [np.array([1, 0], np.uint8), np.array([0, 1], np.uint8)])
         assert kernels.hillclimb_sweep(weights, np.array([1, 0], np.uint8))[2:] == (1, [])
+
+
+@pytest.mark.parametrize("first_improvement", (False, True))
+def test_solve_hillclimb_matches_full_scan_restarts(first_improvement):
+    # every restart shares one graph's terms; each must still climb as the
+    # full scan does from the same start
+    for n_per_side, k in ((4, 10), (16, 100), (64, 2000)):
+        ds = sample(constant_gap_mixture(k, 0.05), n_per_side, derive_seed(116, n_per_side, k))
+        for weights in (build_graph(ds, Metric.HAMMING).weights, -build_graph(ds, Metric.SCORE).weights):
+            graph = CutGraph(weights=weights, metric=Metric.HAMMING, n_nodes=2 * n_per_side)
+            res = solve_hillclimb(graph, restarts=5, seed=3, first_improvement=first_improvement)
+            ends, evals = [], 0
+            for r in range(5):
+                rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=3, spawn_key=(r,))))
+                w, m, e, _trace = full_scan_hillclimb(weights, _random_balanced_membership(2 * n_per_side, rng),
+                                                      first_improvement)
+                ends.append((w, tuple(m.tolist()) if m[0] else tuple((1 - m).tolist())))
+                evals += e + 1
+            best = max(w for w, _ in ends)
+            winners = [m for w, m in ends if w == best]
+            assert res.best_weight == best
+            assert res.best_cut == BalancedCut.from_membership(np.array(winners[0], np.uint8))
+            assert res.tie == (len(set(winners)) > 1)
+            assert res.evaluations == evals
 
 
 def test_hillclimb_never_beats_exact_and_is_deterministic():
