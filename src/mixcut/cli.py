@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import harness, theory
-from .graph import Metric, build_graph
+from .graph import Metric
 from .model import (
     constant_gap_mixture,
     divergence,
@@ -26,6 +26,7 @@ from .model import (
 )
 from .solvers import (
     DEFAULT_ENUMERATION_CAP,
+    METHODS,
     DegenerateInstanceError,
     EnumerationCapError,
     judge,
@@ -64,8 +65,10 @@ def _build_parser() -> "_Parser":
     solve.add_argument("--model", required=True)
     solve.add_argument("--n", type=int, required=True)
     solve.add_argument("--seed", type=int, required=True)
-    solve.add_argument("--method", choices=("exact", "hillclimb", "spectral"), required=True)
-    solve.add_argument("--metric", choices=("hamming", "score"), default="hamming")
+    solve.add_argument("--method", choices=METHODS, required=True)
+    solve.add_argument("--metric", choices=[m.value for m in Metric], default=Metric.HAMMING.value,
+                       help="unit of the reported weights; the cut is the same under either "
+                            "(the maximum Hamming cut is the minimum score cut)")
     solve.add_argument("--restarts", type=int, default=8)
     solve.add_argument("--first-improvement", action="store_true")
     solve.add_argument("--cap-nodes", type=int, default=DEFAULT_ENUMERATION_CAP)
@@ -120,12 +123,11 @@ def _cmd_solve(args) -> int:
         raise harness.ValidationError("model has gamma = 0; separation is impossible")
     dataset = sample(model, args.n, args.seed)
     metric = Metric(args.metric)
-    graph = build_graph(dataset, metric)
     result = solve(
-        graph, dataset, args.method, restarts=args.restarts, seed=args.seed,
+        dataset, args.method, metric, restarts=args.restarts, seed=args.seed,
         first_improvement=args.first_improvement, cap_nodes=args.cap_nodes,
     )
-    true_weight, l_from_truth, _tie_with_truth, success = judge(graph, dataset, result)
+    true_weight, l_from_truth, _tie_with_truth, success = judge(dataset, result, metric)
     print(json.dumps({
         "success": success,
         "method": result.method,

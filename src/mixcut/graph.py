@@ -2,19 +2,23 @@
 
 Two metrics are supported: the inner-product score <x, y> between bit
 vectors, and the Hamming distance sum_k (x^k XOR y^k).  They are linked by
-the exact identity  hamming(x, y) = |x| + |y| - 2 * score(x, y), which makes
-the balanced max-cut under Hamming coincide with the balanced min-cut under
-score.  Weights are kept as exact integers so cut comparisons never depend
-on float rounding.
+the exact identity  hamming(x, y) = |x| + |y| - 2 * score(x, y).  Summed
+over the N^2 crossing pairs of a balanced cut it gives
+    H(cut) = N * (number of ones in the sample) - 2 * S(cut),
+so the balanced max-cut under Hamming is the balanced min-cut under
+score, and every swap's score gain is -1/2 of its Hamming gain.
+`cut_weight_from_rows` owns this identity: it weighs a balanced cut under
+either metric from the rows alone, without a graph.  Weights are kept as
+exact integers so cut comparisons never depend on float rounding.
 
 A balanced cut splits the 2N nodes into two sides of N; cuts are stored in
 canonical form with node 0 on side_s, so each unordered bipartition has one
 representative.  The swap distance L between two cuts is the number of nodes
 per side that changed sides (after mirroring), L in [0, N/2].
 
-`diff_node` and `score_cut_weight` also take stacks of rows or datasets
-(extra leading axes), so the concentration checks evaluate many draws with
-one call to the same formula.
+`diff_node`, `score_cut_weight` and `cut_weight_from_rows` also take
+stacks of rows or datasets (extra leading axes), so the concentration
+checks evaluate many draws with one call to the same formula.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "build_graph",
     "cut_weight",
     "score_cut_weight",
+    "cut_weight_from_rows",
     "diff_node",
     "diff_cut",
     "swap_count",
@@ -42,8 +47,8 @@ __all__ = [
 
 
 class Metric(enum.Enum):
-    SCORE = "score"
     HAMMING = "hamming"
+    SCORE = "score"
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,19 @@ def score_cut_weight(bits: np.ndarray, side_s, side_sbar):
     b = bits[..., side_sbar, :].sum(axis=-2, dtype=count)
     weight = np.multiply(a, b, dtype=np.int64).sum(axis=-1)
     return int(weight) if weight.ndim == 0 else weight
+
+
+def cut_weight_from_rows(bits: np.ndarray, cut: BalancedCut, metric: Metric):
+    """Weight of the balanced cut under `metric`, from the rows of `bits`
+    alone, in exact integers: `score_cut_weight`, taken to Hamming by the
+    identity H(cut) = N * (number of ones) - 2 * S(cut).  `bits` is one
+    2N x K dataset, giving an int, or a stack of shape (..., 2N, K), giving
+    an int64 array of shape (...)."""
+    weight = score_cut_weight(bits, list(cut.side_s), list(cut.side_sbar))
+    if metric is Metric.HAMMING:
+        ones = np.count_nonzero(bits, axis=(-2, -1))
+        weight = cut.n_per_side * ones - 2 * weight
+    return int(weight) if np.ndim(weight) == 0 else weight
 
 
 def diff_node(z, model: MixtureModel, origin: int):

@@ -8,6 +8,9 @@ runs its trials serially on the calling thread, in (N, K, trial) order.
 Each trial goes through `solvers.solve` and `solvers.judge`: a success
 needs the solver's cut to equal the hidden partition AND no other cut to
 tie its weight; ties involving the true partition are tallied separately.
+The config's metric picks only the unit of the reported weights: the cut
+is the maximum Hamming cut, which is the minimum score cut (`graph` states
+the identity).
 
 The concentration checks draw their Bernoulli samples here and take every
 closed-form quantity from its owner: `graph.diff_node` and
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Metric, build_graph, diff_node, score_cut_weight
+from .graph import Metric, diff_node, score_cut_weight
 from .model import (
     MixtureModel,
     constant_gap_mixture,
@@ -48,7 +51,7 @@ from .model import (
     philox,
     sample,
 )
-from .solvers import DEFAULT_ENUMERATION_CAP, EnumerationCapError, judge, solve
+from .solvers import DEFAULT_ENUMERATION_CAP, METHODS, EnumerationCapError, judge, solve
 from .theory import bad_node_threshold_k, delta, is_bad_node, required_k, rho2_standin
 
 __all__ = [
@@ -75,8 +78,6 @@ PHASE_CSV_HEADER = (
     "required_K_case,required_K_value,seed"
 )
 
-_METHODS = ("exact", "hillclimb", "spectral")
-_METRICS = {"hamming": Metric.HAMMING, "score": Metric.SCORE}
 _REQUIRED_KEYS = ("model", "n_values", "k_values", "trials", "method", "metric", "seed", "output")
 _CONFIG_KEYS = _REQUIRED_KEYS + ("restarts", "first_improvement", "cap_nodes")
 _MODEL_GENERATORS = {"figure1": figure1_mixture, "constant_gap": constant_gap_mixture}
@@ -167,9 +168,9 @@ class ExperimentConfig:
             raise ValidationError("every N in 'n_values' must be >= 4 (the required-K thresholds need N >= 4)")
         if not self.k_values or any(k < 1 for k in self.k_values):
             raise ValidationError("all K values must be positive")
-        if self.method not in _METHODS:
+        if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
-        if self.metric not in _METRICS:
+        if self.metric not in {m.value for m in Metric}:
             raise ValidationError(f"unknown metric {self.metric!r}")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
@@ -268,12 +269,12 @@ def run_trial(config: ExperimentConfig, model: MixtureModel, n: int, k: int, tri
     seed = derive_seed(config.seed, n, k, trial)
     start = time.perf_counter()
     dataset = sample(model, n, seed)
-    graph = build_graph(dataset, _METRICS[config.metric])
+    metric = Metric(config.metric)
     result = solve(
-        graph, dataset, config.method, restarts=config.restarts, seed=seed,
+        dataset, config.method, metric, restarts=config.restarts, seed=seed,
         first_improvement=config.first_improvement, cap_nodes=config.cap_nodes,
     )
-    true_weight, l_from_truth, tie_with_truth, success = judge(graph, dataset, result)
+    true_weight, l_from_truth, tie_with_truth, success = judge(dataset, result, metric)
     return TrialRecord(
         n=n,
         k=k,

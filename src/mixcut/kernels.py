@@ -54,7 +54,6 @@ the block.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import combinations
 
@@ -240,6 +239,3 @@ def _climb(terms, membership: np.ndarray, first_improvement: bool):
         trace.append(weight)
     return weight, in_s.astype(np.uint8), evals, trace
 
-
-def n_balanced_cuts(n_nodes: int) -> int:
-    return math.comb(n_nodes - 1, n_nodes // 2 - 1)

@@ -12,26 +12,30 @@ centering removes the all-samples mean direction, which otherwise occupies
 the top of the uncentered spectrum, so the between-population axis is the
 leading direction of the centered matrix.  It takes that vector as the top
 eigenvector of the 2N x 2N centered Gram matrix rather than from an SVD of
-the 2N x K matrix, and weighs its cut with `graph.score_cut_weight`,
-without building the graph.
+the 2N x K matrix, and builds no graph.
 
-`solve` dispatches on the method name and, under the score metric, has
-exact and hillclimb seek the minimum-score cut; `judge` scores a result
-against the hidden partition under the strict success rule: the cut must
-equal the partition and no other cut may tie its weight.
+`solve` dispatches on the method name.  The estimator is the maximum
+Hamming cut, which is the minimum score cut (`graph` states the identity),
+so exact and hillclimb search the one Hamming graph under either metric;
+the metric picks only the unit of the reported weight, which
+`graph.cut_weight_from_rows` gives.  `judge` scores a result against the
+hidden partition under the strict success rule: the cut must equal the
+partition and no other cut may tie its weight.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .graph import BalancedCut, CutGraph, Metric, cut_weight, score_cut_weight, swap_count, true_partition
+from .graph import BalancedCut, CutGraph, Metric, build_graph, cut_weight_from_rows, swap_count, true_partition
 from .model import Dataset, philox
 
 __all__ = [
+    "METHODS",
     "SolveResult",
     "EnumerationCapError",
     "DegenerateInstanceError",
@@ -44,6 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 24
+METHODS = ("exact", "hillclimb", "spectral")
 
 
 class EnumerationCapError(ValueError):
@@ -80,7 +85,7 @@ def solve_exact(graph: CutGraph, cap_nodes: int = DEFAULT_ENUMERATION_CAP) -> So
     if graph.n_nodes > cap_nodes:
         raise EnumerationCapError(
             f"instance has {graph.n_nodes} nodes; exact enumeration is capped at "
-            f"{cap_nodes} nodes ({kernels.n_balanced_cuts(cap_nodes)} cuts)"
+            f"{cap_nodes} nodes ({math.comb(cap_nodes - 1, cap_nodes // 2 - 1)} cuts)"
         )
     best_w, best_m, tie, evals = kernels.exact_max_balanced_cut(graph.weights)
     return SolveResult(
@@ -153,9 +158,8 @@ def solve_spectral(dataset: Dataset, metric: Metric = Metric.HAMMING) -> SolveRe
     (duplicate rows) get values equal up to rounding, which then orders
     them; where such rows straddle the split either order is a valid
     split, and which one is returned may differ from an SVD's.  The
-    returned weight is the cut's weight under `metric`, without the graph:
-    `score_cut_weight` under score, and N (number of ones) - 2 (score
-    weight) under Hamming (exact integers).
+    returned weight is the cut's weight under `metric`, from
+    `cut_weight_from_rows`.
     """
     bits = dataset.bits.astype(np.float64)
     if np.all(dataset.bits == dataset.bits[0]):
@@ -163,13 +167,10 @@ def solve_spectral(dataset: Dataset, metric: Metric = Metric.HAMMING) -> SolveRe
     centered = bits - bits.mean(axis=0, keepdims=True)
     lead = np.linalg.eigh(centered @ centered.T)[1][:, -1]
     order = np.argsort(-lead, kind="stable")
-    n = dataset.n_per_side
-    weight = score_cut_weight(dataset.bits, order[:n], order[n:])
-    if metric is not Metric.SCORE:
-        weight = n * int(np.count_nonzero(dataset.bits)) - 2 * weight
+    cut = BalancedCut.from_side(order[: dataset.n_per_side].tolist(), dataset.n_nodes)
     return SolveResult(
-        best_cut=BalancedCut.from_side(order[:n].tolist(), dataset.n_nodes),
-        best_weight=weight,
+        best_cut=cut,
+        best_weight=cut_weight_from_rows(dataset.bits, cut, metric),
         method="spectral",
         evaluations=1,
         tie=False,
@@ -177,47 +178,47 @@ def solve_spectral(dataset: Dataset, metric: Metric = Metric.HAMMING) -> SolveRe
 
 
 def solve(
-    graph: CutGraph,
     dataset: Dataset,
     method: str,
+    metric: Metric,
     restarts: int,
     seed: int,
     first_improvement: bool,
     cap_nodes: int,
 ) -> SolveResult:
-    """Run the named solver ("exact", "hillclimb" or "spectral") on the
-    graph of `dataset`; `seed` drives the hill climber's restarts.
+    """Run the named solver (one of `METHODS`) on `dataset` and report the
+    cut's weight under `metric`; `seed` drives the hill climber's restarts.
 
-    Under the score metric the estimator is the minimum-score balanced cut,
-    so exact and hillclimb maximise over -W and the weight is negated back.
-    For balanced cuts the Hamming weight is N sum(pop) - 2 (score weight),
-    so every swap gain under -W is half the Hamming one: the cut, the tie
-    flag and the evaluation count match the Hamming run on the same sample.
+    Exact and hillclimb search the dataset's Hamming graph, built here,
+    under either metric: for balanced cuts every score swap gain is -1/2 of
+    the Hamming one, so the minimum-score cut, its tie flag and the
+    evaluation count are those of the maximum-Hamming search.  Spectral
+    builds no graph.
     """
-    if method == "spectral":
-        return solve_spectral(dataset, graph.metric)
-    if method not in ("exact", "hillclimb"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    minimise = graph.metric is Metric.SCORE
-    if minimise:
-        graph = CutGraph(weights=-graph.weights, metric=graph.metric, n_nodes=graph.n_nodes)
+    if method == "spectral":
+        return solve_spectral(dataset, metric)
+    graph = build_graph(dataset, Metric.HAMMING)
     if method == "exact":
         result = solve_exact(graph, cap_nodes=cap_nodes)
     else:
         result = solve_hillclimb(graph, restarts=restarts, seed=seed, first_improvement=first_improvement)
-    return replace(result, best_weight=-result.best_weight) if minimise else result
+    if metric is Metric.HAMMING:
+        return result
+    return replace(result, best_weight=cut_weight_from_rows(dataset.bits, result.best_cut, metric))
 
 
-def judge(graph: CutGraph, dataset: Dataset, result: SolveResult):
-    """Score a result against the hidden partition.
+def judge(dataset: Dataset, result: SolveResult, metric: Metric):
+    """Score a result against the hidden partition, weighing the truth
+    under `metric` from the rows (`cut_weight_from_rows`), with no graph.
 
     Returns (true_weight, L, tie_with_truth, success): a success needs the
     solved cut to equal the partition (L = 0) and no tie at the truth's
     weight (strict reading of "the maximum cut is the partition").
     """
     truth = true_partition(dataset)
-    true_weight = cut_weight(graph, truth)
+    true_weight = cut_weight_from_rows(dataset.bits, truth, metric)
     l_from_truth = swap_count(truth, result.best_cut)
     tie_with_truth = result.tie and true_weight == result.best_weight
     return true_weight, l_from_truth, tie_with_truth, l_from_truth == 0 and not tie_with_truth
-

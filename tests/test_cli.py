@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import mixcut
+from mixcut import cli, graph, harness, solvers
 from mixcut.cli import main
 from mixcut.model import divergence, load_model
 
@@ -261,6 +262,35 @@ def test_solve_output_is_pinned(tmp_path, capsys, method, metric):
     assert stdout == _SOLVE_GOLDEN[(method, metric)] + "\n"
 
 
+@pytest.mark.parametrize("metric", ["hamming", "score"])
+@pytest.mark.parametrize("method", ["exact", "hillclimb", "spectral"])
+def test_only_exact_and_hillclimb_trials_build_a_graph_and_it_is_the_hamming_one(
+        tmp_path, capsys, monkeypatch, method, metric):
+    built = []
+    original = graph.build_graph
+
+    def counting(dataset, graph_metric):
+        built.append(graph_metric)
+        return original(dataset, graph_metric)
+
+    for module in (graph, solvers, harness, cli):
+        monkeypatch.setattr(module, "build_graph", counting, raising=False)
+    config = {
+        "model": {"constant_gap": {"gamma": 0.25}}, "n_values": [4, 5], "k_values": [10, 40],
+        "trials": 2, "method": method, "metric": metric, "seed": 3,
+        "output": str(tmp_path / "phase.csv"),
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli(capsys, "phase", "--config", str(cfg_path))[0] == 0
+    out = tmp_path / "m.json"
+    run_cli(capsys, "gen", "--gap-gamma", "0.25", "--k", "40", "--out", str(out))
+    assert run_cli(capsys, "solve", "--model", str(out), "--n", "5", "--seed", "11",
+                   "--method", method, "--metric", metric)[0] == 0
+    trials = 2 * 2 * 2 + 1
+    assert built == ([] if method == "spectral" else [graph.Metric.HAMMING] * trials)
+
+
 def test_verify_emits_all_five_check_families(capsys):
     code, stdout, _ = run_cli(
         capsys, "verify", "--gap-gamma", "0.2", "--k", "50",
@@ -338,7 +368,7 @@ def test_python_dash_m_mixcut_runs_the_cli(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_verify_bytes_do_not_depend_on_cores_or_blas_threads():
+def test_verify_bytes_do_not_depend_on_cores_or_blas_threads(tmp_path):
     # the sizes of the diff_node BLAS-rounding case; a child pinned to one
     # CPU draws each check in one stretch, an unpinned one in one per CPU
     argv = [sys.executable, "-m", "mixcut", "verify", "--gap-gamma", "0.1", "--k", "37",
@@ -353,7 +383,34 @@ def test_verify_bytes_do_not_depend_on_cores_or_blas_threads():
                                 env=env, preexec_fn=pin)
 
     procs = [start(blas, pinned) for blas in ("1", "2") for pinned in (False, True)]
+
+    # one phase-sweep child per BLAS thread count: spectral (Gram product
+    # and eigh, duplicate rows at K <= 10) and hill-climb (graph product)
+    # sweeps under both metrics, K below and above 2N
+    sweeps = [(method, metric) for method in ("spectral", "hillclimb") for metric in ("hamming", "score")]
+    phase = {}
+    for blas in ("1", "2"):
+        configs = []
+        for method, metric in sweeps:
+            cfg_path = tmp_path / f"{method}-{metric}-{blas}.json"
+            cfg_path.write_text(json.dumps({
+                "model": {"constant_gap": {"gamma": 0.1}}, "n_values": [4, 8, 24, 64],
+                "k_values": [5, 10, 40, 400], "trials": 6, "method": method, "metric": metric,
+                "seed": 31, "output": str(tmp_path / f"{method}-{metric}-{blas}.csv"),
+            }))
+            configs.append(str(cfg_path))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+        env["PYTHONPATH"] = MIXCUT_PATH + os.pathsep + env.get("PYTHONPATH", "")
+        script = "import sys; from mixcut.cli import main; sys.exit(max(main(['phase', '--config', c]) for c in sys.argv[1:]))"
+        phase[blas] = subprocess.Popen([sys.executable, "-c", script, *configs], stdout=subprocess.PIPE,
+                                       stderr=subprocess.PIPE, text=True, env=env)
+
     runs = [(proc.communicate(timeout=60), proc.returncode) for proc in procs]
     (stdout, stderr), code = runs[0]
     assert code == 0 and stdout.startswith("concentration checks: K=37 "), stderr
     assert all((out, rc) == (stdout, code) for (out, _), rc in runs)
+    for blas, proc in phase.items():
+        assert proc.communicate(timeout=120)[1] == "" and proc.returncode == 0
+    for method, metric in sweeps:
+        one, two = ((tmp_path / f"{method}-{metric}-{blas}.csv").read_bytes() for blas in ("1", "2"))
+        assert one.count(b"\n") == 1 + 16 and one == two, (method, metric)

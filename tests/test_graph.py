@@ -10,6 +10,7 @@ from mixcut.graph import (
     Metric,
     build_graph,
     cut_weight,
+    cut_weight_from_rows,
     diff_cut,
     diff_node,
     score_cut_weight,
@@ -273,15 +274,17 @@ def test_conditional_expectation_identity_of_swapped_groups():
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=12),
-       st.randoms(use_true_random=False))
-def test_score_cut_weight_equals_cut_weight_on_the_score_graph(n, k, rnd):
+       st.sampled_from(list(Metric)), st.randoms(use_true_random=False))
+def test_score_cut_weight_equals_cut_weight_on_the_score_graph(n, k, metric, rnd):
     bits = np.array([[rnd.randint(0, 1) for _ in range(k)] for _ in range(2 * n)], dtype=np.uint8)
     cut = BalancedCut.from_side(rnd.sample(range(2 * n), n), 2 * n)
     stack = np.stack([bits, 1 - bits])
-    want = [
-        cut_weight(build_graph(Dataset(bits=b, labels=np.repeat([1, 2], n), n_per_side=n, seed=0), Metric.SCORE), cut)
-        for b in stack
-    ]
+    graphs = [build_graph(Dataset(bits=b, labels=np.repeat([1, 2], n), n_per_side=n, seed=0), m)
+              for m in (Metric.SCORE, metric) for b in stack]
+    want = [cut_weight(g, cut) for g in graphs]
     assert score_cut_weight(bits, list(cut.side_s), list(cut.side_sbar)) == want[0]
     # a stack of datasets, as bool bits, gives each dataset's weight
-    assert score_cut_weight(stack.astype(bool), list(cut.side_s), list(cut.side_sbar)).tolist() == want
+    assert score_cut_weight(stack.astype(bool), list(cut.side_s), list(cut.side_sbar)).tolist() == want[:2]
+    # the owner of the Hamming/score identity weighs the cut under either metric
+    assert cut_weight_from_rows(bits, cut, metric) == want[2]
+    assert cut_weight_from_rows(stack.astype(bool), cut, metric).tolist() == want[2:]

@@ -189,7 +189,7 @@ def test_exact_recovers_partition_at_high_dimension():
     for s in range(100):
         ds = sample(model, 6, derive_seed(7, 6, 200, s))
         graph = build_graph(ds, Metric.HAMMING)
-        hits += judge(graph, ds, solve_exact(graph))[3]
+        hits += judge(ds, solve_exact(graph), Metric.HAMMING)[3]
     assert hits >= 95
 
 
@@ -343,7 +343,7 @@ def test_hillclimb_first_improvement_flag():
 def test_spectral_on_deterministic_instance():
     ds = deterministic_dataset(n=3)
     res = solve_spectral(ds)
-    assert judge(build_graph(ds, Metric.HAMMING), ds, res)[3]
+    assert judge(ds, res, Metric.HAMMING)[3]
     assert res.best_weight == cut_weight(build_graph(ds, Metric.HAMMING), res.best_cut)
     # the weight comes from per-side column sums; it must equal the graph's
     rng = np.random.default_rng(106)
@@ -383,7 +383,7 @@ def test_spectral_balanced_output_and_recorded_rate():
         ds = sample(model, 50, derive_seed(13, 50, 300, s))
         res = solve_spectral(ds)
         assert len(res.best_cut.side_s) == 50
-        hits += judge(build_graph(ds, Metric.HAMMING), ds, res)[3]
+        hits += judge(ds, res, Metric.HAMMING)[3]
     rate = hits / 30  # recorded, not asserted: heuristic behavior is unpinned
     assert 0.0 <= rate <= 1.0
 
@@ -399,7 +399,7 @@ def test_judge_unordered_comparison():
     ds = deterministic_dataset()
     graph = build_graph(ds, Metric.HAMMING)
     res = solve_exact(graph)
-    assert judge(graph, ds, res)[1:] == (0, False, True)
+    assert judge(ds, res, Metric.HAMMING)[1:] == (0, False, True)
     flipped = type(res)(
         best_cut=BalancedCut(side_s=res.best_cut.side_sbar, side_sbar=res.best_cut.side_s),
         best_weight=res.best_weight,
@@ -407,7 +407,7 @@ def test_judge_unordered_comparison():
         evaluations=res.evaluations,
         tie=res.tie,
     )
-    assert judge(graph, ds, flipped)[1:] == (0, False, True)
+    assert judge(ds, flipped, Metric.HAMMING)[1:] == (0, False, True)
     misplaced = type(res)(
         best_cut=BalancedCut.from_side([0, 2], 4),
         best_weight=res.best_weight,
@@ -415,18 +415,18 @@ def test_judge_unordered_comparison():
         evaluations=res.evaluations,
         tie=res.tie,
     )
-    assert judge(graph, ds, misplaced)[1:] == (1, False, False)
+    assert judge(ds, misplaced, Metric.HAMMING)[1:] == (1, False, False)
 
 
 def test_judge_refuses_a_truth_that_ties_and_solve_refuses_unknown_methods():
     ds = sample(MixtureModel(p1=np.zeros(3), p2=np.zeros(3)), 3, 1)
-    graph = build_graph(ds, Metric.HAMMING)  # all-zero: every cut ties the truth
     settings = dict(restarts=8, seed=0, first_improvement=False, cap_nodes=24)
-    res = solve(graph, ds, "exact", **settings)
+    # all-zero: every cut ties the truth
+    res = solve(ds, "exact", Metric.HAMMING, **settings)
     assert res.best_cut == true_partition(ds) and res.tie
-    assert judge(graph, ds, res) == (0, 0, True, False)
+    assert judge(ds, res, Metric.HAMMING) == (0, 0, True, False)
     with pytest.raises(ValueError, match="anneal"):
-        solve(graph, ds, "anneal", **settings)
+        solve(ds, "anneal", Metric.HAMMING, **settings)
 
 
 @pytest.mark.parametrize("method, first_improvement", [
@@ -439,11 +439,11 @@ def test_score_metric_solves_the_minimum_score_cut_as_hamming_solves_the_maximum
     for n_per_side in (2, 3, 4, 5, 6):
         for k in (3, 12, 40):
             _, ds = random_instance(rng, n_per_side, k_lo=k, k_hi=k)
-            g_score, g_ham = build_graph(ds, Metric.SCORE), build_graph(ds, Metric.HAMMING)
-            rs = solve(g_score, ds, method, **settings)
-            rh = solve(g_ham, ds, method, **settings)
+            g_score = build_graph(ds, Metric.SCORE)
+            rs = solve(ds, method, Metric.SCORE, **settings)
+            rh = solve(ds, method, Metric.HAMMING, **settings)
             assert (rs.best_cut, rs.tie, rs.evaluations) == (rh.best_cut, rh.tie, rh.evaluations)
-            assert judge(g_score, ds, rs)[1] == judge(g_ham, ds, rh)[1]
+            assert judge(ds, rs, Metric.SCORE)[1] == judge(ds, rh, Metric.HAMMING)[1]
             pop = int(ds.bits.sum())
             assert rh.best_weight == n_per_side * pop - 2 * rs.best_weight
             assert rs.best_weight == cut_weight(g_score, rs.best_cut)
