@@ -16,9 +16,9 @@ canonical form with node 0 on side_s, so each unordered bipartition has one
 representative.  The swap distance L between two cuts is the number of nodes
 per side that changed sides (after mirroring), L in [0, N/2].
 
-`diff_node`, `score_cut_weight` and `cut_weight_from_rows` also take
-stacks of rows or datasets (extra leading axes), so the concentration
-checks evaluate many draws with one call to the same formula.
+`diff_node` and `score_cut_weight` also take stacks of rows or datasets
+(extra leading axes), so the concentration checks evaluate many draws with
+one call to the same formula.
 """
 
 from __future__ import annotations
@@ -163,17 +163,14 @@ def score_cut_weight(bits: np.ndarray, side_s, side_sbar):
     return int(weight) if weight.ndim == 0 else weight
 
 
-def cut_weight_from_rows(bits: np.ndarray, cut: BalancedCut, metric: Metric):
-    """Weight of the balanced cut under `metric`, from the rows of `bits`
-    alone, in exact integers: `score_cut_weight`, taken to Hamming by the
-    identity H(cut) = N * (number of ones) - 2 * S(cut).  `bits` is one
-    2N x K dataset, giving an int, or a stack of shape (..., 2N, K), giving
-    an int64 array of shape (...)."""
+def cut_weight_from_rows(bits: np.ndarray, cut: BalancedCut, metric: Metric) -> int:
+    """Weight of the balanced cut under `metric`, from the 2N x K rows of
+    `bits` alone, in exact integers: `score_cut_weight`, taken to Hamming by
+    the identity H(cut) = N * (number of ones) - 2 * S(cut)."""
     weight = score_cut_weight(bits, list(cut.side_s), list(cut.side_sbar))
     if metric is Metric.HAMMING:
-        ones = np.count_nonzero(bits, axis=(-2, -1))
-        weight = cut.n_per_side * ones - 2 * weight
-    return int(weight) if np.ndim(weight) == 0 else weight
+        weight = cut.n_per_side * int(np.count_nonzero(bits)) - 2 * weight
+    return weight
 
 
 def diff_node(z, model: MixtureModel, origin: int):

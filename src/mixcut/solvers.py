@@ -190,10 +190,9 @@ def solve(
     cut's weight under `metric`; `seed` drives the hill climber's restarts.
 
     Exact and hillclimb search the dataset's Hamming graph, built here,
-    under either metric: for balanced cuts every score swap gain is -1/2 of
-    the Hamming one, so the minimum-score cut, its tie flag and the
-    evaluation count are those of the maximum-Hamming search.  Spectral
-    builds no graph.
+    under either metric: its maximum cut is the minimum-score cut, with the
+    same tie flag and evaluation count (see `graph`).  Spectral builds no
+    graph.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")

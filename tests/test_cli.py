@@ -273,6 +273,7 @@ def test_only_exact_and_hillclimb_trials_build_a_graph_and_it_is_the_hamming_one
         built.append(graph_metric)
         return original(dataset, graph_metric)
 
+    # patched in every module a trial passes through, so a call from any of them counts
     for module in (graph, solvers, harness, cli):
         monkeypatch.setattr(module, "build_graph", counting, raising=False)
     config = {
