@@ -288,7 +288,7 @@ def test_only_exact_and_hillclimb_trials_build_a_graph_and_it_is_the_hamming_one
     run_cli(capsys, "gen", "--gap-gamma", "0.25", "--k", "40", "--out", str(out))
     assert run_cli(capsys, "solve", "--model", str(out), "--n", "5", "--seed", "11",
                    "--method", method, "--metric", metric)[0] == 0
-    trials = 2 * 2 * 2 + 1
+    trials = 2 * 2 * 2 + 1  # two N by two K by two trials, then the solve
     assert built == ([] if method == "spectral" else [graph.Metric.HAMMING] * trials)
 
 
