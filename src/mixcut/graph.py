@@ -1,15 +1,17 @@
-"""Edge-weighted complete graphs over a sample and balanced-cut statistics.
+"""The Hamming graph over a sample, and balanced-cut statistics.
 
-Two metrics are supported: the inner-product score <x, y> between bit
-vectors, and the Hamming distance sum_k (x^k XOR y^k).  They are linked by
-the exact identity  hamming(x, y) = |x| + |y| - 2 * score(x, y).  Summed
-over the N^2 crossing pairs of a balanced cut it gives
+The estimator is the maximum-weight balanced cut of one graph, whose edge
+weights are the pairwise Hamming distances sum_k (x^k XOR y^k); every
+solver that needs a graph searches that one.  The inner-product score
+<x, y> between bit vectors is linked to it by the exact identity
+hamming(x, y) = |x| + |y| - 2 * score(x, y).  Summed over the N^2 crossing
+pairs of a balanced cut it gives
     H(cut) = N * (number of ones in the sample) - 2 * S(cut),
 so the balanced max-cut under Hamming is the balanced min-cut under
 score, and every swap's score gain is -1/2 of its Hamming gain.
 `cut_weight_from_rows` owns this identity: it weighs a balanced cut under
-either metric from the rows alone, without a graph.  Weights are kept as
-exact integers so cut comparisons never depend on float rounding.
+either metric from the rows alone, so no score graph is built.  Weights are
+kept as exact integers so cut comparisons never depend on float rounding.
 
 A balanced cut splits the 2N nodes into two sides of N; cuts are stored in
 canonical form with node 0 on side_s, so each unordered bipartition has one
@@ -24,7 +26,7 @@ one call to the same formula.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,33 +42,38 @@ __all__ = [
     "score_cut_weight",
     "cut_weight_from_rows",
     "diff_node",
-    "diff_cut",
     "swap_count",
     "true_partition",
 ]
 
 
 class Metric(enum.Enum):
+    """The unit of a reported cut weight; the cut searched is the same."""
+
     HAMMING = "hamming"
     SCORE = "score"
 
 
 @dataclass(frozen=True)
 class CutGraph:
-    """Symmetric integer edge weights over 2N nodes under one metric."""
+    """Exact integer edge weights over 2N nodes (`build_graph` makes the
+    Hamming ones): square, symmetric and zero on the diagonal, as the hill
+    climber's swap-gain formula requires."""
 
     weights: np.ndarray
-    metric: Metric
-    n_nodes: int
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.int64)
-        if w.shape != (self.n_nodes, self.n_nodes):
-            raise ValueError("weights must be n_nodes x n_nodes")
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError("weights must be a square matrix")
         if np.any(w != w.T) or np.any(np.diag(w) != 0):
             raise ValueError("weights must be symmetric with zero diagonal")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.weights.shape[0]
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ class BalancedCut:
     """Bipartition of {0..2N-1} into sides of size N, node 0 on side_s."""
 
     side_s: tuple
-    side_sbar: tuple = field(default=())
+    side_sbar: tuple
 
     def __post_init__(self):
         s = tuple(sorted(int(i) for i in self.side_s))
@@ -114,33 +121,30 @@ class BalancedCut:
         return m
 
 
-def build_graph(dataset: Dataset, metric: Metric) -> CutGraph:
-    """All pairwise weights under the chosen metric, via one matrix product.
+def build_graph(dataset: Dataset, metric: Metric = Metric.HAMMING) -> CutGraph:
+    """The dataset's Hamming graph: all pairwise Hamming distances, via one
+    matrix product.
 
     The Gram matrix of shared ones is one float64 BLAS product (numpy has no
-    BLAS kernel for int64), cast back to exact int64 scores.
+    BLAS kernel for int64), cast back to exact int64 scores.  `metric`
+    exists only for callers that still pass one (the layered benchmark) and
+    must be Hamming; it goes with `harness.worker_count` and
+    `kernels.active_backend` (ROADMAP item 1).
     """
+    if metric is not Metric.HAMMING:
+        raise ValueError("build_graph builds only the Hamming graph")
     bits = dataset.bits.astype(np.float64)
     # Exact: each entry counts shared ones, and every partial sum of the
     # product is an integer <= K < 2**53, so no float64 step rounds.
     scores = (bits @ bits.T).astype(np.int64)
-    if metric is Metric.SCORE:
-        weights = scores.copy()
-        np.fill_diagonal(weights, 0)
-    else:
-        pop = np.diag(scores)
-        weights = pop[:, None] + pop[None, :] - 2 * scores
-    return CutGraph(weights=weights, metric=metric, n_nodes=dataset.n_nodes)
-
-
-def _check_cover(graph: CutGraph, cut: BalancedCut) -> None:
-    if cut.n_nodes != graph.n_nodes:
-        raise ValueError("cut does not cover the graph's node set")
+    pop = np.diag(scores)
+    return CutGraph(weights=pop[:, None] + pop[None, :] - 2 * scores)
 
 
 def cut_weight(graph: CutGraph, cut: BalancedCut) -> int:
     """Sum of edge weights across the cut."""
-    _check_cover(graph, cut)
+    if cut.n_nodes != graph.n_nodes:
+        raise ValueError("cut does not cover the graph's node set")
     sub = graph.weights[np.ix_(cut.side_s, cut.side_sbar)]
     return int(sub.sum())
 
@@ -194,20 +198,6 @@ def diff_node(z, model: MixtureModel, origin: int):
         raise ValueError("origin must be 1 or 2")
     gap = (za * (model.p1 - model.p2 if origin == 1 else model.p2 - model.p1)).sum(axis=-1)
     return float(gap) if gap.ndim == 0 else gap
-
-
-def diff_cut(graph: CutGraph, reference: BalancedCut, other: BalancedCut) -> int:
-    """Cut-weight difference other - reference on a score graph.
-
-    Equals the explicit sum over the 4L(N-L) edges that differ between the
-    two cuts (the L x L block between the two swapped groups is crossed by
-    both cuts and cancels); exact in integer arithmetic.
-    """
-    if graph.metric is not Metric.SCORE:
-        raise ValueError("diff statistics are defined on the score graph")
-    _check_cover(graph, reference)
-    _check_cover(graph, other)
-    return cut_weight(graph, other) - cut_weight(graph, reference)
 
 
 def swap_count(reference: BalancedCut, other: BalancedCut) -> int:

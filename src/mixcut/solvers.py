@@ -198,7 +198,7 @@ def solve(
         raise ValueError(f"unknown method {method!r}")
     if method == "spectral":
         return solve_spectral(dataset, metric)
-    graph = build_graph(dataset, Metric.HAMMING)
+    graph = build_graph(dataset)
     if method == "exact":
         result = solve_exact(graph, cap_nodes=cap_nodes)
     else:

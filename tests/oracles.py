@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from mixcut.graph import BalancedCut
+from mixcut.graph import BalancedCut, CutGraph
 
 
 def score_brute(x, y):
@@ -140,6 +140,15 @@ def svd_split(bits):
     order = np.argsort(-lead, kind="stable")
     half = len(lead) // 2
     return sorted(order[:half].tolist()), abs(lead[order[half - 1]] - lead[order[half]])
+
+
+def score_graph(dataset):
+    """The dataset's score graph: <x, y> for every pair of rows, from one
+    int64 product, with the diagonal zeroed."""
+    bits = dataset.bits.astype(np.int64)
+    weights = bits @ bits.T
+    np.fill_diagonal(weights, 0)
+    return CutGraph(weights=weights)
 
 
 def four_term_diff(weights, ref_side_s, other_side_s, n_nodes):

@@ -15,7 +15,7 @@ from mixcut.graph import (
     Metric,
     build_graph,
     cut_weight,
-    diff_cut,
+    cut_weight_from_rows,
     swap_count,
     true_partition,
 )
@@ -38,7 +38,7 @@ from mixcut.theory import (
     sigma_sq_bound,
 )
 
-from oracles import all_balanced_cuts, four_term_diff, naive_extreme_balanced_cut, random_instance
+from oracles import all_balanced_cuts, four_term_diff, naive_extreme_balanced_cut, random_instance, score_graph
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -61,8 +61,7 @@ def test_criterion_1_exact_solver_matches_naive_enumerator(instance_pool):
     start = time.perf_counter()
     checked = 0
     for n_per_side, ds in instance_pool:
-        for metric in Metric:
-            graph = build_graph(ds, metric)
+        for graph in (build_graph(ds), score_graph(ds)):
             res = solve_exact(graph)
             w, side, tie = naive_extreme_balanced_cut(graph.weights, maximize=True)
             assert res.best_weight == w
@@ -79,8 +78,8 @@ def test_criterion_2_hamming_score_cut_duality(instance_pool):
     checked_cuts = 0
     argpairs = 0
     for n_per_side, ds in instance_pool:
-        gs = build_graph(ds, Metric.SCORE)
-        gh = build_graph(ds, Metric.HAMMING)
+        gs = score_graph(ds)
+        gh = build_graph(ds)
         total_pop = int(ds.bits.sum())
         for cut in all_balanced_cuts(2 * n_per_side):
             assert cut_weight(gh, cut) == n_per_side * total_pop - 2 * cut_weight(gs, cut)
@@ -101,12 +100,11 @@ def test_criterion_3_cut_difference_equals_four_term_sum():
     while checked < 100:
         n_per_side = int(rng.integers(2, 7))
         _, ds = random_instance(rng, n_per_side)
-        graph = build_graph(ds, Metric.SCORE)
         truth = true_partition(ds)
         cuts = list(all_balanced_cuts(2 * n_per_side))
         other = cuts[int(rng.integers(0, len(cuts)))]
-        got = diff_cut(graph, truth, other)
-        want = four_term_diff(graph.weights, truth.side_s, other.side_s, 2 * n_per_side)
+        got = cut_weight_from_rows(ds.bits, other, Metric.SCORE) - cut_weight_from_rows(ds.bits, truth, Metric.SCORE)
+        want = four_term_diff(score_graph(ds).weights, truth.side_s, other.side_s, 2 * n_per_side)
         assert got == want, (
             f"cut-weight difference {got} != four-term sum {want}; "
             f"discrepancy {got - want} on N={n_per_side}, L={swap_count(truth, other)}"
@@ -147,8 +145,9 @@ def test_criterion_5_cut_gap_mean_matches_advantage():
         diffs = np.empty(10_000)
         for t in range(10_000):
             ds = sample(model, n, derive_seed(2024, n, l, t))
-            graph = build_graph(ds, Metric.SCORE)
-            diffs[t] = diff_cut(graph, true_partition(ds), other)
+            truth = true_partition(ds)
+            diffs[t] = (cut_weight_from_rows(ds.bits, other, Metric.SCORE)
+                        - cut_weight_from_rows(ds.bits, truth, Metric.SCORE))
         target = (n - l) * l * model.k * gamma
         tol = 3 * float(diffs.std(ddof=1)) / 100.0
         assert abs(float(diffs.mean()) - target) <= tol

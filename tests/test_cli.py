@@ -269,9 +269,9 @@ def test_only_exact_and_hillclimb_trials_build_a_graph_and_it_is_the_hamming_one
     built = []
     original = graph.build_graph
 
-    def counting(dataset, graph_metric):
-        built.append(graph_metric)
-        return original(dataset, graph_metric)
+    def counting(dataset):  # takes no metric, so a call that passes one fails
+        built.append(dataset)
+        return original(dataset)
 
     # patched in every module a trial passes through, so a call from any of them counts
     for module in (graph, solvers, harness, cli):
@@ -289,7 +289,7 @@ def test_only_exact_and_hillclimb_trials_build_a_graph_and_it_is_the_hamming_one
     assert run_cli(capsys, "solve", "--model", str(out), "--n", "5", "--seed", "11",
                    "--method", method, "--metric", metric)[0] == 0
     trials = 2 * 2 * 2 + 1  # two N by two K by two trials, then the solve
-    assert built == ([] if method == "spectral" else [graph.Metric.HAMMING] * trials)
+    assert len(built) == (0 if method == "spectral" else trials)
 
 
 def test_verify_emits_all_five_check_families(capsys):

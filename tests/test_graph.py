@@ -11,7 +11,6 @@ from mixcut.graph import (
     build_graph,
     cut_weight,
     cut_weight_from_rows,
-    diff_cut,
     diff_node,
     score_cut_weight,
     swap_count,
@@ -19,7 +18,7 @@ from mixcut.graph import (
 )
 from mixcut.model import Dataset, MixtureModel, constant_gap_mixture, divergence, philox, sample
 
-from oracles import all_balanced_cuts, cut_weight_brute, four_term_diff, random_instance, score_brute
+from oracles import all_balanced_cuts, cut_weight_brute, four_term_diff, random_instance, score_brute, score_graph
 
 
 def deterministic_dataset(k=3):
@@ -28,7 +27,7 @@ def deterministic_dataset(k=3):
 
 
 def test_build_graph_deterministic_instance():
-    graph = build_graph(deterministic_dataset(), Metric.HAMMING)
+    graph = build_graph(deterministic_dataset())
     w = graph.weights
     assert w[0, 1] == 0 and w[2, 3] == 0
     assert w[0, 2] == w[0, 3] == w[1, 2] == w[1, 3] == 3
@@ -37,8 +36,8 @@ def test_build_graph_deterministic_instance():
 def test_build_graph_symmetric_zero_diagonal():
     rng = np.random.default_rng(5)
     _, ds = random_instance(rng, 4)
-    for metric in Metric:
-        w = build_graph(ds, metric).weights
+    for graph in (build_graph(ds), score_graph(ds)):
+        w = graph.weights
         assert np.array_equal(w, w.T)
         assert np.all(np.diag(w) == 0)
         assert w.min() >= 0 and w.max() <= ds.k
@@ -47,8 +46,8 @@ def test_build_graph_symmetric_zero_diagonal():
 def test_build_graph_entries_match_bit_recomputation():
     rng = np.random.default_rng(6)
     _, ds = random_instance(rng, 3)
-    ws = build_graph(ds, Metric.SCORE).weights
-    wh = build_graph(ds, Metric.HAMMING).weights
+    ws = score_graph(ds).weights
+    wh = build_graph(ds).weights
     for i in range(ds.n_nodes):
         for j in range(ds.n_nodes):
             if i == j:
@@ -71,7 +70,7 @@ def _int64_reference_weights(bits, metric):
     return w
 
 
-@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("metric", [Metric.HAMMING])  # the form the layered benchmark calls
 def test_build_graph_is_exact_at_benchmark_size(metric):
     bits = np.random.default_rng(8).integers(0, 2, size=(256, 2000), dtype=np.uint8)
     graph = build_graph(_dataset_from_bits(bits), metric)
@@ -82,8 +81,8 @@ def test_build_graph_is_exact_at_benchmark_size(metric):
 def test_build_graph_is_exact_on_all_ones_rows_at_large_k():
     k = 100_000
     ds = _dataset_from_bits(np.ones((8, k), dtype=np.uint8))
-    ws = build_graph(ds, Metric.SCORE).weights
-    wh = build_graph(ds, Metric.HAMMING).weights
+    ws = score_graph(ds).weights
+    wh = build_graph(ds).weights
     assert ws.dtype == wh.dtype == np.int64
     assert not ws.flags.writeable and not wh.flags.writeable
     off = ~np.eye(8, dtype=bool)
@@ -93,12 +92,17 @@ def test_build_graph_is_exact_on_all_ones_rows_at_large_k():
         assert np.array_equal(w, _int64_reference_weights(ds.bits, metric))
 
 
+def test_build_graph_refuses_the_score_metric():
+    with pytest.raises(ValueError, match="Hamming"):
+        build_graph(deterministic_dataset(), Metric.SCORE)
+
+
 def test_cut_weight_examples():
-    graph = build_graph(deterministic_dataset(), Metric.HAMMING)
+    graph = build_graph(deterministic_dataset())
     truth = BalancedCut.from_side([0, 1], 4)
     assert cut_weight(graph, truth) == 12
     assert cut_weight(graph, BalancedCut.from_side([0, 2], 4)) == 6
-    zero = build_graph(deterministic_dataset(), Metric.SCORE)  # all-ones vs zeros: scores 0 across
+    zero = score_graph(deterministic_dataset())  # all-ones vs zeros: scores 0 across
     for cut in all_balanced_cuts(4):
         assert cut_weight(zero, cut) == cut_weight_brute(zero.weights, cut.side_s)
 
@@ -106,7 +110,7 @@ def test_cut_weight_examples():
 def test_cut_weight_matches_brute_force_and_side_exchange():
     rng = np.random.default_rng(7)
     _, ds = random_instance(rng, 3)
-    graph = build_graph(ds, Metric.HAMMING)
+    graph = build_graph(ds)
     for cut in all_balanced_cuts(6):
         w = cut_weight(graph, cut)
         assert w == cut_weight_brute(graph.weights, cut.side_s)
@@ -115,7 +119,7 @@ def test_cut_weight_matches_brute_force_and_side_exchange():
 
 
 def test_cut_weight_rejects_node_set_mismatch():
-    graph = build_graph(deterministic_dataset(), Metric.HAMMING)
+    graph = build_graph(deterministic_dataset())
     with pytest.raises(ValueError):
         cut_weight(graph, BalancedCut.from_side([0, 1, 2], 6))
 
@@ -181,32 +185,16 @@ def test_diff_node_gaps_do_not_depend_on_how_the_rows_are_blocked():
             assert gaps.tobytes() == blocked.tobytes()
 
 
-def test_diff_cut_zero_for_identical_cuts():
-    rng = np.random.default_rng(8)
-    _, ds = random_instance(rng, 3)
-    graph = build_graph(ds, Metric.SCORE)
-    truth = true_partition(ds)
-    assert diff_cut(graph, truth, truth) == 0
-
-
-def test_diff_cut_requires_score_metric():
-    rng = np.random.default_rng(9)
-    _, ds = random_instance(rng, 2)
-    graph = build_graph(ds, Metric.HAMMING)
-    truth = true_partition(ds)
-    with pytest.raises(ValueError):
-        diff_cut(graph, truth, truth)
-
-
 def test_diff_cut_equals_four_term_sum():
     rng = np.random.default_rng(10)
     for _ in range(25):
         _, ds = random_instance(rng, 3)
-        graph = build_graph(ds, Metric.SCORE)
+        weights = score_graph(ds).weights
         truth = true_partition(ds)
+        truth_weight = cut_weight_from_rows(ds.bits, truth, Metric.SCORE)
         for other in all_balanced_cuts(6):
-            expected = four_term_diff(graph.weights, truth.side_s, other.side_s, 6)
-            assert diff_cut(graph, truth, other) == expected
+            expected = four_term_diff(weights, truth.side_s, other.side_s, 6)
+            assert cut_weight_from_rows(ds.bits, other, Metric.SCORE) - truth_weight == expected
 
 
 def test_swap_count_examples():
@@ -246,8 +234,8 @@ def test_hamming_score_cut_duality_exhaustive():
     rng = np.random.default_rng(11)
     for n_per_side in (2, 3):
         _, ds = random_instance(rng, n_per_side)
-        gs = build_graph(ds, Metric.SCORE)
-        gh = build_graph(ds, Metric.HAMMING)
+        gs = score_graph(ds)
+        gh = build_graph(ds)
         total_pop = int(ds.bits.sum())
         for cut in all_balanced_cuts(2 * n_per_side):
             assert cut_weight(gh, cut) == n_per_side * total_pop - 2 * cut_weight(gs, cut)
@@ -279,13 +267,10 @@ def test_score_cut_weight_equals_cut_weight_on_the_score_graph(n, k, metric, rnd
     bits = np.array([[rnd.randint(0, 1) for _ in range(k)] for _ in range(2 * n)], dtype=np.uint8)
     cut = BalancedCut.from_side(rnd.sample(range(2 * n), n), 2 * n)
     stack = np.stack([bits, 1 - bits])
-    want = [
-        cut_weight(build_graph(Dataset(bits=b, labels=np.repeat([1, 2], n), n_per_side=n, seed=0), Metric.SCORE), cut)
-        for b in stack
-    ]
+    want = [cut_weight(score_graph(_dataset_from_bits(b)), cut) for b in stack]
     assert score_cut_weight(bits, list(cut.side_s), list(cut.side_sbar)) == want[0]
     # a stack of datasets, as bool bits, gives each dataset's weight
     assert score_cut_weight(stack.astype(bool), list(cut.side_s), list(cut.side_sbar)).tolist() == want
     # the owner of the Hamming/score identity weighs the cut under either metric
-    graph = build_graph(Dataset(bits=bits, labels=np.repeat([1, 2], n), n_per_side=n, seed=0), metric)
+    graph = (build_graph if metric is Metric.HAMMING else score_graph)(_dataset_from_bits(bits))
     assert cut_weight_from_rows(bits, cut, metric) == cut_weight(graph, cut)

@@ -31,6 +31,7 @@ from oracles import (
     naive_extreme_balanced_cut,
     naive_hillclimb,
     random_instance,
+    score_graph,
     svd_split,
 )
 
@@ -41,7 +42,7 @@ def deterministic_dataset(k=3, n=2):
 
 
 def test_exact_on_deterministic_instance():
-    graph = build_graph(deterministic_dataset(), Metric.HAMMING)
+    graph = build_graph(deterministic_dataset())
     res = solve_exact(graph)
     assert res.best_weight == 12
     assert set(res.best_cut.side_s) == {0, 1}
@@ -51,12 +52,12 @@ def test_exact_on_deterministic_instance():
 
 def test_exact_zero_weight_graph_ties_on_first_canonical_cut():
     ds = deterministic_dataset(n=3)
-    graph = build_graph(ds, Metric.SCORE)  # ones vs zeros: every score crossing is 0
+    graph = score_graph(ds)  # ones vs zeros: every score crossing is 0
     assert np.all(graph.weights[np.ix_(range(3), range(3, 6))] == 0)
     res = solve_exact(graph)
     assert res.tie is True
     # interesting zero case: a literally all-zero graph
-    zero = build_graph(sample(MixtureModel(p1=np.zeros(3), p2=np.zeros(3)), 3, 1), Metric.HAMMING)
+    zero = build_graph(sample(MixtureModel(p1=np.zeros(3), p2=np.zeros(3)), 3, 1))
     res = solve_exact(zero)
     assert res.best_weight == 0
     assert res.best_cut.side_s == (0, 1, 2)
@@ -68,8 +69,7 @@ def test_exact_matches_naive_enumerator():
     for n_per_side in (2, 3, 4, 5):
         for _ in range(5):
             _, ds = random_instance(rng, n_per_side)
-            for metric in Metric:
-                graph = build_graph(ds, metric)
+            for graph in (build_graph(ds), score_graph(ds)):
                 res = solve_exact(graph)
                 w, side, tie = naive_extreme_balanced_cut(graph.weights, maximize=True)
                 assert res.best_weight == w
@@ -80,7 +80,7 @@ def test_exact_matches_naive_enumerator():
 
 def _random_graph(rng, n_nodes, high):
     upper = np.triu(rng.integers(0, high + 1, size=(n_nodes, n_nodes)), 1)
-    return CutGraph(weights=upper + upper.T, metric=Metric.HAMMING, n_nodes=n_nodes)
+    return CutGraph(weights=upper + upper.T)
 
 
 def test_exact_matches_naive_enumerator_on_tie_heavy_weights():
@@ -100,7 +100,7 @@ def test_exact_matches_naive_enumerator_on_tie_heavy_weights():
 def test_exact_all_zero_graph_keeps_first_cut_and_counts_every_cut():
     for n in range(1, 8):
         zeros = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        graph = CutGraph(weights=zeros, metric=Metric.HAMMING, n_nodes=2 * n)
+        graph = CutGraph(weights=zeros)
         res = solve_exact(graph)
         assert res.best_weight == 0
         assert res.best_cut.side_s == tuple(range(n))
@@ -109,7 +109,7 @@ def test_exact_all_zero_graph_keeps_first_cut_and_counts_every_cut():
 
 
 def test_exact_two_nodes_has_no_side_s_node_in_second_half():
-    graph = CutGraph(weights=np.array([[0, 5], [5, 0]]), metric=Metric.HAMMING, n_nodes=2)
+    graph = CutGraph(weights=np.array([[0, 5], [5, 0]]))
     res = solve_exact(graph)
     assert (res.best_weight, res.best_cut.side_s, res.tie, res.evaluations) == (5, (0,), False, 1)
 
@@ -117,7 +117,7 @@ def test_exact_two_nodes_has_no_side_s_node_in_second_half():
 def test_exact_result_weight_is_exact_and_dominates_all_cuts():
     rng = np.random.default_rng(101)
     _, ds = random_instance(rng, 4)
-    graph = build_graph(ds, Metric.HAMMING)
+    graph = build_graph(ds)
     res = solve_exact(graph)
     assert res.best_weight == cut_weight(graph, res.best_cut)
     assert all(cut_weight(graph, c) <= res.best_weight for c in all_balanced_cuts(8))
@@ -126,7 +126,7 @@ def test_exact_result_weight_is_exact_and_dominates_all_cuts():
 def test_exact_cap_refusal_names_the_cap():
     model = constant_gap_mixture(4, 0.25)
     ds = sample(model, 13, 0)
-    graph = build_graph(ds, Metric.HAMMING)
+    graph = build_graph(ds)
     with pytest.raises(EnumerationCapError, match="24"):
         solve_exact(graph)
     # a raised cap admits the same instance
@@ -188,13 +188,13 @@ def test_exact_recovers_partition_at_high_dimension():
     hits = 0
     for s in range(100):
         ds = sample(model, 6, derive_seed(7, 6, 200, s))
-        graph = build_graph(ds, Metric.HAMMING)
+        graph = build_graph(ds)
         hits += judge(ds, solve_exact(graph), Metric.HAMMING)[3]
     assert hits >= 95
 
 
 def test_hillclimb_reaches_global_optimum_from_every_start():
-    graph = build_graph(deterministic_dataset(), Metric.HAMMING)
+    graph = build_graph(deterministic_dataset())
     for start in all_balanced_cuts(4):
         weight, m, _evals, trace = kernels.hillclimb_sweep(graph.weights, start.membership())
         assert weight == 12
@@ -222,14 +222,14 @@ def test_hillclimb_sweep_matches_naive_climber_on_tie_heavy_weights():
 
 
 def test_hillclimb_sweep_matches_naive_climber_on_sampled_graphs():
-    # Hamming graphs, and the negated score graphs that `solve` climbs on
+    # Hamming graphs, and negated score graphs, whose maximum cut is the minimum-score cut
     rng = np.random.default_rng(108)
     for n_per_side in (2, 3, 4, 6):
         for _ in range(4):
             _, ds = random_instance(rng, n_per_side)
             start = _random_balanced_membership(2 * n_per_side, rng)
-            _assert_sweep_matches_naive(build_graph(ds, Metric.HAMMING).weights, start)
-            _assert_sweep_matches_naive(-build_graph(ds, Metric.SCORE).weights, start)
+            _assert_sweep_matches_naive(build_graph(ds).weights, start)
+            _assert_sweep_matches_naive(-score_graph(ds).weights, start)
 
 
 def _assert_sweep_matches_full_scan(weights, starts):
@@ -244,13 +244,13 @@ def _assert_sweep_matches_full_scan(weights, starts):
 @pytest.mark.parametrize("k", (10, 100, 2000))
 @pytest.mark.parametrize("n_per_side", (4, 16, 64, 128))
 def test_hillclimb_sweep_matches_full_scan_on_sampled_graphs(n_per_side, k, gamma):
-    # Hamming graphs and the negated score graphs that `solve` climbs on,
+    # Hamming graphs and negated score graphs (a second weight family),
     # three restarts each, in both modes
     ds = sample(constant_gap_mixture(k, gamma), n_per_side, derive_seed(113, n_per_side, k, int(100 * gamma)))
     rng = np.random.default_rng(derive_seed(114, n_per_side, k))
     starts = [_random_balanced_membership(2 * n_per_side, rng) for _ in range(3)]
-    _assert_sweep_matches_full_scan(build_graph(ds, Metric.HAMMING).weights, starts)
-    _assert_sweep_matches_full_scan(-build_graph(ds, Metric.SCORE).weights, starts)
+    _assert_sweep_matches_full_scan(build_graph(ds).weights, starts)
+    _assert_sweep_matches_full_scan(-score_graph(ds).weights, starts)
 
 
 def test_hillclimb_sweep_matches_full_scan_when_every_swap_ties():
@@ -283,8 +283,8 @@ def test_solve_hillclimb_matches_full_scan_restarts(first_improvement):
     # full scan does from the same start
     for n_per_side, k in ((4, 10), (16, 100), (64, 2000)):
         ds = sample(constant_gap_mixture(k, 0.05), n_per_side, derive_seed(116, n_per_side, k))
-        for weights in (build_graph(ds, Metric.HAMMING).weights, -build_graph(ds, Metric.SCORE).weights):
-            graph = CutGraph(weights=weights, metric=Metric.HAMMING, n_nodes=2 * n_per_side)
+        for weights in (build_graph(ds).weights, -score_graph(ds).weights):
+            graph = CutGraph(weights=weights)
             res = solve_hillclimb(graph, restarts=5, seed=3, first_improvement=first_improvement)
             ends, evals = [], 0
             for r in range(5):
@@ -305,7 +305,7 @@ def test_hillclimb_never_beats_exact_and_is_deterministic():
     rng = np.random.default_rng(102)
     for _ in range(10):
         _, ds = random_instance(rng, 4)
-        graph = build_graph(ds, Metric.HAMMING)
+        graph = build_graph(ds)
         exact = solve_exact(graph)
         hc1 = solve_hillclimb(graph, restarts=4, seed=9)
         hc2 = solve_hillclimb(graph, restarts=4, seed=9)
@@ -317,7 +317,7 @@ def test_hillclimb_never_beats_exact_and_is_deterministic():
 
 
 def test_hillclimb_mirror_image_ends_are_not_a_tie():
-    graph = build_graph(deterministic_dataset(), Metric.HAMMING)
+    graph = build_graph(deterministic_dataset())
     ends = []
     for r in range(2):  # the two restarts solve_hillclimb(seed=1) runs
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=1, spawn_key=(r,))))
@@ -331,7 +331,7 @@ def test_hillclimb_mirror_image_ends_are_not_a_tie():
 def test_hillclimb_first_improvement_flag():
     rng = np.random.default_rng(103)
     _, ds = random_instance(rng, 5)
-    graph = build_graph(ds, Metric.HAMMING)
+    graph = build_graph(ds)
     exact = solve_exact(graph)
     res = solve_hillclimb(graph, restarts=4, seed=2, first_improvement=True)
     assert res.best_weight <= exact.best_weight
@@ -344,7 +344,7 @@ def test_spectral_on_deterministic_instance():
     ds = deterministic_dataset(n=3)
     res = solve_spectral(ds)
     assert judge(ds, res, Metric.HAMMING)[3]
-    assert res.best_weight == cut_weight(build_graph(ds, Metric.HAMMING), res.best_cut)
+    assert res.best_weight == cut_weight(build_graph(ds), res.best_cut)
     # the weight comes from per-side column sums; it must equal the graph's
     rng = np.random.default_rng(106)
     for n_per_side in (1, 2, 3, 5, 8):
@@ -352,9 +352,9 @@ def test_spectral_on_deterministic_instance():
             _, ds = random_instance(rng, n_per_side)
             if np.all(ds.bits == ds.bits[0]):
                 continue
-            for metric in Metric:
+            for metric, graph in ((Metric.HAMMING, build_graph(ds)), (Metric.SCORE, score_graph(ds))):
                 res = solve_spectral(ds, metric)
-                assert res.best_weight == cut_weight(build_graph(ds, metric), res.best_cut)
+                assert res.best_weight == cut_weight(graph, res.best_cut)
 
 
 @pytest.mark.parametrize("n_per_side,k_values", [(8, (5, 10, 40)), (32, (10, 40, 200))])
@@ -397,7 +397,7 @@ def test_spectral_rejects_degenerate_instance():
 
 def test_judge_unordered_comparison():
     ds = deterministic_dataset()
-    graph = build_graph(ds, Metric.HAMMING)
+    graph = build_graph(ds)
     res = solve_exact(graph)
     assert judge(ds, res, Metric.HAMMING)[1:] == (0, False, True)
     flipped = type(res)(
@@ -439,7 +439,7 @@ def test_score_metric_solves_the_minimum_score_cut_as_hamming_solves_the_maximum
     for n_per_side in (2, 3, 4, 5, 6):
         for k in (3, 12, 40):
             _, ds = random_instance(rng, n_per_side, k_lo=k, k_hi=k)
-            g_score = build_graph(ds, Metric.SCORE)
+            g_score = score_graph(ds)
             rs = solve(ds, method, Metric.SCORE, **settings)
             rh = solve(ds, method, Metric.HAMMING, **settings)
             assert (rs.best_cut, rs.tie, rs.evaluations) == (rh.best_cut, rh.tie, rh.evaluations)
