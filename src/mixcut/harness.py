@@ -18,13 +18,15 @@ closed-form quantity from its owner: `graph.diff_node` and
 of datasets, `theory.bad_node_threshold_k` and `theory.rho2_standin`.  Each
 check draws its samples through `_draw_reduced`: the sample axis is split
 into one contiguous stretch per available CPU, each stretch drawn on its
-own thread in blocks of about 2**17 uniforms, and every block reduced to
+own thread in blocks of about 2**17 raw Philox words, each word decided
+against `model.bernoulli_thresholds`, and every block reduced to
 per-sample values at once, so only those values are kept whole.  Philox is
 counter-based, so each stretch starts at its own offset of the check's one
-stream and reads the same uniforms as one draw of the whole sample array.
+stream and reads the same words as one draw of the whole sample array.
 Every per-sample value depends on that sample's bits alone, so the reports
 equal those of drawing everything at once, on any number of cores or BLAS
-threads.
+threads.  The two swap-imbalance checks keep only the small integer column
+counts whole and reduce their float deviations block by block.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ import numpy as np
 from .graph import Metric, diff_node, score_cut_weight
 from .model import (
     MixtureModel,
+    bernoulli_bits,
+    bernoulli_thresholds,
     constant_gap_mixture,
     derive_seed,
     divergence,
@@ -444,9 +448,10 @@ class ConcentrationReport:
         return all(c.passed for c in self.checks if c.passed is not None)
 
 
-# Uniforms per block of a chunked draw: about 2**17 float64 (1 MB), so a
-# block's uniforms and bits stay in cache while its reduction reads them.
-_CHUNK_UNIFORMS = 1 << 17
+# Values per block of a chunked draw or reduction: about 2**17 uint64 words
+# or float64 deviations (1 MB), so a block and its bits stay in cache while
+# its reduction reads them.
+_CHUNK_VALUES = 1 << 17
 # Words per Philox block: each counter value yields four 64-bit words.
 _PHILOX_WORDS = 4
 
@@ -484,33 +489,36 @@ def _draw_reduced(rng, m: int, p: np.ndarray, reduce) -> np.ndarray:
     a block of bits of shape (r,) + p.shape to its r per-sample values, and
     the values of all m samples are returned as one array.
 
-    `Generator.random` fills in C order, one stream word per value, so
-    sample i takes words [i * p.size, (i + 1) * p.size) of `rng`'s Philox
-    stream.  The sample axis is split into one contiguous stretch per CPU
-    (`_cpu_count`); the calling thread draws stretch 0 and one thread each
-    the others.  Philox is counter-based, so each stretch reads its words
-    from its own generator placed at its first word (`_philox_at`), with no
-    walk through the words before it.  A stretch draws its rows in blocks
-    of about `_CHUNK_UNIFORMS` uniforms, into one float64 and one bool
-    buffer of its own, and writes the reduced values into the shared result.
-    So the bits equal `rng.random((m,) + p.shape) < p` for any number of
-    stretches, and `rng` ends in the state that one such call leaves.  The
-    values equal `reduce` of those bits whenever `reduce` gives each sample
-    a value from that sample's bits alone, as every check's reduction does.
-    An exception raised in any stretch is raised here once all have ended.
+    Sample i takes raw words [i * p.size, (i + 1) * p.size) of `rng`'s
+    Philox stream, in C order, and each word is decided against the
+    `bernoulli_thresholds` of p, made once per call.  The sample axis is
+    split into one contiguous stretch per CPU (`_cpu_count`); the calling
+    thread draws stretch 0 and one thread each the others.  Philox is
+    counter-based, so each stretch reads its words from its own bit
+    generator placed at its first word (`_philox_at`), with no walk through
+    the words before it.  A stretch draws its rows in blocks of about
+    `_CHUNK_VALUES` words, decides them into a bool buffer of its own,
+    releases the block's words before drawing the next, and writes the
+    reduced values into the shared result.  So the bits equal
+    `rng.random((m,) + p.shape) < p` for any number of stretches, and `rng`
+    ends in the state that one such call leaves.  The values equal `reduce`
+    of those bits whenever `reduce` gives each sample a value from that
+    sample's bits alone, as every check's reduction does.  An exception
+    raised in any stretch is raised here once all have ended.
     """
-    per = max(1, _CHUNK_UNIFORMS // p.size)
+    per = max(1, _CHUNK_VALUES // p.size)
     stretches = min(_cpu_count(), m)
     bounds = [m * i // stretches for i in range(stretches + 1)]
+    thresholds = bernoulli_thresholds(p)
 
     def blocks(lo: int, hi: int):
-        gen = _philox_at(rng, lo * p.size)
-        uniforms = np.empty((min(per, hi - lo),) + p.shape)
-        bits = np.empty(uniforms.shape, dtype=bool)
+        bit_generator = _philox_at(rng, lo * p.size).bit_generator
+        bits = np.empty((min(per, hi - lo),) + p.shape, dtype=bool)
         for start in range(lo, hi, per):
             r = min(per, hi - start)
-            gen.random(out=uniforms[:r])
-            np.less(uniforms[:r], p, out=bits[:r])
+            words = bit_generator.random_raw(r * p.size).reshape(bits[:r].shape)
+            bernoulli_bits(words, thresholds, out=bits[:r])
+            del words
             yield start, reduce(bits[:r])
 
     first = blocks(bounds[0], bounds[1])
@@ -614,13 +622,17 @@ def _check_bad_node_rate(cfg: VerifyConfig, gamma: float) -> CheckResult:
 
 def _imbalance_deviations(cfg: VerifyConfig, key: int):
     """|t_k| samples: per-dimension swap-imbalance deviations over draws of
-    the two swapped groups, scaled by sqrt(L).
+    the two swapped groups, scaled by sqrt(L), yielded in blocks of whole
+    draws.
 
     Each group's L x K bits per draw come from `_draw_reduced` with the
     (L, K) broadcast of its center, and each block is summed over its L axis
-    at once, so only the m x K column counts u and v are kept.  They are
-    exact in a small signed type: the smallest one that holds -L - 1 holds
-    every count and every u - v in [-L, L]."""
+    at once, so only the m x K column counts u and v are kept whole.  They
+    are exact in a small signed type: the smallest one that holds -L - 1
+    holds every count and every u - v in [-L, L].  The float64 deviations
+    are formed from them in blocks of about `_CHUNK_VALUES` values, into
+    one buffer that each block overwrites, so a caller must be done with a
+    block (and may overwrite it) before asking for the next."""
     p1, p2 = cfg.model.p1, cfg.model.p2
     l, m = cfg.imbalance_l, cfg.imbalance_draws
     rng = philox(cfg.seed, key)
@@ -631,23 +643,30 @@ def _imbalance_deviations(cfg: VerifyConfig, key: int):
 
     u = _draw_reduced(rng, m, np.broadcast_to(p1, (l, p1.size)), column_counts)
     v = _draw_reduced(rng, m, np.broadcast_to(p2, (l, p2.size)), column_counts)
-    # one float64 array, updated in place: m x K float64 temporaries, not
-    # the draws, would otherwise set verify's peak memory
-    dev = np.subtract(u, v, dtype=np.float64)
-    dev -= l * (p1 - p2)
-    np.abs(dev, out=dev)
-    dev /= math.sqrt(l)
-    return dev
+    shift, scale = l * (p1 - p2), math.sqrt(l)
+    rows = max(1, _CHUNK_VALUES // p1.size)
+    dev = np.empty((min(rows, m), p1.size))
+    for start in range(0, m, rows):
+        block = dev[:min(rows, m - start)]
+        np.subtract(u[start:start + rows], v[start:start + rows], out=block, dtype=np.float64)
+        block -= shift
+        np.abs(block, out=block)
+        block /= scale
+        yield block
 
 
 def _check_imbalance_tail(cfg: VerifyConfig) -> list:
     """Per-dimension deviation tail vs 2 exp(-t^2) across the t grid; the
-    reported empirical value is the worst dimension."""
-    dev = _imbalance_deviations(cfg, 4)
-    m = dev.shape[0]
+    reported empirical value is the worst dimension.  The hits of each
+    (t, k) are counted exactly, block by block."""
+    m = cfg.imbalance_draws
+    hits = np.zeros((len(cfg.t_grid), cfg.model.k), dtype=np.int64)
+    for dev in _imbalance_deviations(cfg, 4):
+        for i, t in enumerate(cfg.t_grid):
+            hits[i] += np.count_nonzero(dev >= t, axis=0)
     out = []
-    for t in cfg.t_grid:
-        emp = float((dev >= t).mean(axis=0).max())
+    for t, row in zip(cfg.t_grid, hits):
+        emp = int(row.max()) / m
         bound = 2.0 * math.exp(-t * t)
         if bound >= 1.0:
             passed = True
@@ -671,11 +690,15 @@ def _check_imbalance_tail(cfg: VerifyConfig) -> list:
 
 def _check_delta_event_rate(cfg: VerifyConfig) -> CheckResult:
     """Frequency of the simultaneous-deviation event sum_k t_k^2 >= Delta
-    vs the order-bound stand-in, with a safety factor of 10."""
-    dev = _imbalance_deviations(cfg, 5)
-    m = dev.shape[0]
+    vs the order-bound stand-in, with a safety factor of 10.  Each draw's
+    sum over K is taken within its block, so it is the same pairwise sum
+    as over the whole m x K array."""
+    m = cfg.imbalance_draws
     budget = delta(cfg.n, cfg.model.k)
-    freq = float((np.sum(np.square(dev, out=dev), axis=1) >= budget).mean())
+    events = 0
+    for dev in _imbalance_deviations(cfg, 5):
+        events += int(np.count_nonzero(np.sum(np.square(dev, out=dev), axis=1) >= budget))
+    freq = events / m
     standin = rho2_standin(cfg.n)
     return CheckResult(
         name="delta_event_rate",

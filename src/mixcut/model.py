@@ -12,12 +12,20 @@ Every random draw in the package comes from `philox`, the counter-based
 Philox generator keyed by an explicit seed and an optional key tuple, so a
 dataset is a pure function of (model, N, seed).  Per-trial seeds for
 experiment grids are derived from a master seed via `derive_seed`.
+
+Bernoulli bits are decided on the generator's raw 64-bit words, never on
+floats.  numpy's `Generator.random` maps a word w to (w >> 11) * 2**-53,
+so that uniform is below p exactly when (w >> 11) < ceil(p * 2**53).
+`bernoulli_thresholds` makes those integer thresholds and `bernoulli_bits`
+applies them; a word array gives the same bits as `random() < p` over the
+same words, for every p in [0, 1], and leaves the generator in the same
+state.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +40,13 @@ __all__ = [
     "load_model",
     "derive_seed",
     "philox",
+    "bernoulli_thresholds",
+    "bernoulli_bits",
 ]
+
+# numpy's `random()` keeps the top 53 bits of a word: (w >> 11) * 2**-53
+_UNIFORM_SHIFT = 11
+_UNIFORM_SCALE = float(2**53)
 
 
 def _frozen_probs(values, name: str) -> np.ndarray:
@@ -48,16 +62,24 @@ def _frozen_probs(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixtureModel:
-    """Pair of Bernoulli centers over {0,1}^K. Immutable once built."""
+    """Pair of Bernoulli centers over {0,1}^K. Immutable once built.
+
+    `thresholds` holds the `bernoulli_thresholds` of p1 and p2 as the rows
+    of one read-only 2 x K uint64 array, made once here so that `sample`
+    does not remake them on every call."""
 
     p1: np.ndarray
     p2: np.ndarray
+    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p1", _frozen_probs(self.p1, "p1"))
         object.__setattr__(self, "p2", _frozen_probs(self.p2, "p2"))
         if self.p1.shape != self.p2.shape:
             raise ValueError("p1 and p2 must have identical length")
+        thresholds = bernoulli_thresholds(np.stack([self.p1, self.p2]))
+        thresholds.flags.writeable = False
+        object.__setattr__(self, "thresholds", thresholds)
 
     @property
     def k(self) -> int:
@@ -111,15 +133,20 @@ def divergence(model: MixtureModel) -> float:
 
 
 def sample(model: MixtureModel, n_per_side: int, seed: int) -> Dataset:
-    """Draw N rows from each component, bit-reproducible for a given seed."""
+    """Draw N rows from each component, bit-reproducible for a given seed.
+
+    Bit [i, k] is decided by raw word [i, k] of one C-order draw of
+    2N x K words from `philox(seed)`, against the model's `thresholds`, so
+    it equals `philox(seed).random((2N, K))[i, k] < pt^k`."""
     if n_per_side < 1:
         raise ValueError("n_per_side must be >= 1")
-    # bit [i, k] takes uniform [i, k] of one C-order draw; each half is
-    # compared against its own center straight into the uint8 array
-    uniform = philox(seed).random((2 * n_per_side, model.k))
-    bits = np.empty(uniform.shape, dtype=np.uint8)
-    np.less(uniform[:n_per_side], model.p1, out=bits[:n_per_side].view(bool))
-    np.less(uniform[n_per_side:], model.p2, out=bits[n_per_side:].view(bool))
+    # each half is compared against its own center straight into the
+    # uint8 array
+    words = philox(seed).bit_generator.random_raw(2 * n_per_side * model.k)
+    words = words.reshape(2 * n_per_side, model.k)
+    bits = np.empty(words.shape, dtype=np.uint8)
+    bernoulli_bits(words[:n_per_side], model.thresholds[0], out=bits[:n_per_side].view(bool))
+    bernoulli_bits(words[n_per_side:], model.thresholds[1], out=bits[n_per_side:].view(bool))
     labels = np.repeat(np.array([1, 2], dtype=np.int8), n_per_side)
     return Dataset(bits=bits, labels=labels, n_per_side=n_per_side, seed=int(seed))
 
@@ -166,9 +193,26 @@ def save_model(model: MixtureModel, path: str) -> None:
         fh.write("\n")
 
 
+_MODEL_KEYS = ("p1", "p2")
+
+
 def load_model(path: str) -> MixtureModel:
+    """The model saved at `path` by `save_model`: a JSON object with exactly
+    the keys p1 and p2.  Any other shape, a missing key or an unknown key
+    raises ValueError naming the file and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"model file {path}: expected a JSON object with keys p1, p2")
+    unknown = sorted(set(payload) - set(_MODEL_KEYS))
+    if unknown:
+        raise ValueError(
+            f"model file {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"expected keys: {', '.join(_MODEL_KEYS)}"
+        )
+    missing = [key for key in _MODEL_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"model file {path}: missing key(s) {', '.join(map(repr, missing))}")
     return MixtureModel(p1=payload["p1"], p2=payload["p2"])
 
 
@@ -190,3 +234,25 @@ def philox(seed: int, *key: int) -> np.random.Generator:
     `SeedSequence(seed)` with an empty spawn key.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
+def bernoulli_thresholds(p) -> np.ndarray:
+    """uint64 thresholds of probabilities p in [0, 1], of p's shape: a raw
+    Philox word w gives a set bit exactly when (w >> 11) < threshold.
+
+    numpy's uniform of w is (w >> 11) * 2**-53, and an integer lies below a
+    real x exactly when it lies below ceil(x).  p * 2**53 is exact in
+    float64 (a power-of-two scale that neither overflows nor underflows), so
+    the threshold ceil(p * 2**53) is exact: 0 for p = 0, never met, and
+    2**53 for p = 1, always met."""
+    return np.ceil(np.asarray(p, dtype=np.float64) * _UNIFORM_SCALE).astype(np.uint64)
+
+
+def bernoulli_bits(words: np.ndarray, thresholds: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Bits `uniform(w) < p` of the raw uint64 `words` into the bool array
+    `out`, for the `bernoulli_thresholds` of p (broadcast against `words`).
+
+    `words` is overwritten: it is shifted in place to the 53 bits a uniform
+    keeps."""
+    np.right_shift(words, _UNIFORM_SHIFT, out=words)
+    return np.less(words, thresholds, out=out)

@@ -4,6 +4,7 @@ Everything here is deliberately naive (bitmask loops, double sums) and
 written separately from the production code paths it checks.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -178,6 +179,17 @@ def oneshot_bernoulli(rng, lead, p):
     """Bernoulli bits of shape lead + p.shape from one call to `rng.random`:
     bit [..., j] is set with probability p[j]."""
     return rng.random(lead + p.shape) < p
+
+
+def oneshot_imbalance_deviations(rng, m, p1, p2, l):
+    """|t_k| swap-imbalance deviations of m draws, as one m x K float64
+    array: the column counts u and v of two groups of L rows, drawn one
+    after the other by `oneshot_bernoulli`, give |u - v - L (p1 - p2)| /
+    sqrt(L)."""
+    u = oneshot_bernoulli(rng, (m,), np.broadcast_to(p1, (l, p1.size))).sum(axis=1)
+    v = oneshot_bernoulli(rng, (m,), np.broadcast_to(p2, (l, p2.size))).sum(axis=1)
+    dev = np.subtract(u, v, dtype=np.float64) - l * (p1 - p2)
+    return np.abs(dev) / math.sqrt(l)
 
 
 def random_model(rng, k):

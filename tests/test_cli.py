@@ -351,6 +351,32 @@ def test_verify_refuses_k_with_model(tmp_path, capsys):
     assert code == 0 and stdout.startswith("concentration checks: K=50 ")
 
 
+@pytest.mark.parametrize("payload, named", [
+    ({"p1": [0.7] * 10, "p2": [0.3] * 10, "p3": [1]}, "unknown key(s) 'p3'"),
+    ({"p1": [0.7] * 10}, "missing key(s) 'p2'"),
+    ([[0.7] * 10, [0.3] * 10], "expected a JSON object with keys p1, p2"),
+])
+@pytest.mark.parametrize("command", ["verify", "solve", "phase"])
+def test_a_model_file_with_an_unknown_or_missing_key_is_exit_2(tmp_path, capsys, command, payload, named):
+    model_path = tmp_path / "m.json"
+    model_path.write_text(json.dumps(payload))
+    if command == "verify":
+        argv = ("verify", "--model", str(model_path), "--pairs", "200", "--cut-samples", "200")
+    elif command == "solve":
+        argv = ("solve", "--model", str(model_path), "--n", "4", "--seed", "1", "--method", "exact")
+    else:
+        config = {
+            "model": {"file": str(model_path)}, "n_values": [4], "k_values": [10], "trials": 2,
+            "method": "exact", "metric": "hamming", "seed": 5, "output": str(tmp_path / "phase.csv"),
+        }
+        (tmp_path / "sweep.json").write_text(json.dumps(config))
+        argv = ("phase", "--config", str(tmp_path / "sweep.json"))
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert named in stderr and str(model_path) in stderr
+    assert not (tmp_path / "phase.csv").exists()
+
+
 def test_python_dash_m_mixcut_runs_the_cli(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = MIXCUT_PATH + os.pathsep + env.get("PYTHONPATH", "")

@@ -25,8 +25,8 @@ from mixcut.harness import (
 from mixcut.graph import diff_node, score_cut_weight
 from mixcut.model import MixtureModel, constant_gap_mixture, philox, save_model
 from mixcut.solvers import EnumerationCapError
-from mixcut.theory import is_bad_node
-from oracles import oneshot_bernoulli
+from mixcut.theory import delta, is_bad_node
+from oracles import oneshot_bernoulli, oneshot_imbalance_deviations
 
 
 def make_config(tmp_path, **overrides):
@@ -485,7 +485,8 @@ def test_verify_concentration_at_cli_defaults_is_pinned_within_80_mb():
 
 
 @pytest.mark.parametrize("check", ["_check_imbalance_tail", "_check_delta_event_rate"])
-def test_imbalance_checks_at_cli_defaults_stay_within_25_mb(check):
+def test_imbalance_checks_at_cli_defaults_stay_within_12_mb(monkeypatch, check):
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
     cfg = VerifyConfig(model=constant_gap_mixture(200, 0.2), seed=0)
     tracemalloc.start()
     try:
@@ -493,8 +494,29 @@ def test_imbalance_checks_at_cli_defaults_stay_within_25_mb(check):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # whole m x K float64 temporaries (16 MB each) put the peak at 36 MB
-    assert peak < 25e6, f"peak traced allocation {peak / 1e6:.1f} MB"
+    # whole m x K float64 deviations (16 MB each) put the peak at 20-21 MB;
+    # the int8 column counts and one block of deviations keep it near 7 MB
+    assert peak < 12e6, f"peak traced allocation {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("l", [1, 4])
+def test_streamed_imbalance_checks_equal_the_oneshot_deviations(monkeypatch, l):
+    k = 37
+    rnd = np.random.default_rng(l)
+    model = MixtureModel(p1=rnd.random(k), p2=rnd.random(k))
+    rows = harness._CHUNK_VALUES // k  # draws per block of deviations
+    for m in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+        cfg = VerifyConfig(model=model, imbalance_draws=m, imbalance_l=l, seed=6)
+        dev = oneshot_imbalance_deviations(philox(6, 4), m, model.p1, model.p2, l)
+        got = [c.empirical for c in harness._check_imbalance_tail(cfg)]
+        assert got == [float((dev >= t).mean(axis=0).max()) for t in cfg.t_grid]
+        sums = np.sum(np.square(oneshot_imbalance_deviations(philox(6, 5), m, model.p1, model.p2, l)), axis=1)
+        # the check's own budget, and the median sum, which some draws meet
+        for budget in (delta(cfg.n, k), float(np.median(sums))):
+            monkeypatch.setattr(harness, "delta", lambda n, k, budget=budget: budget)
+            freq = harness._check_delta_event_rate(cfg).empirical
+            assert freq == float((sums >= budget).mean())
+        assert freq >= 0.5
 
 
 def _dyadic_model(k):
@@ -552,7 +574,7 @@ def test_draw_is_the_same_for_any_number_of_stretches(monkeypatch, cores, lead):
     # generator part way through one; a short switch interval interleaves
     # the stretches' threads often
     model = constant_gap_mixture(37, 0.1)
-    per = harness._CHUNK_UNIFORMS // model.k
+    per = harness._CHUNK_VALUES // model.k
     monkeypatch.setattr(harness, "_cpu_count", lambda: cores)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -574,6 +596,24 @@ def test_draw_is_the_same_for_any_number_of_stretches(monkeypatch, cores, lead):
             assert rng.random(7).tolist() == ref.random(7).tolist()
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(37,), (4, 37)])
+def test_draw_decides_the_edge_probabilities_as_the_oneshot_draw(monkeypatch, cores, shape):
+    # 0 and 1, the least subnormal, the least uniform step, 1/2 and
+    # 1 - 2**-53, then uniform probabilities; the (L, K) case is the
+    # broadcast the imbalance draws pass
+    edges = [0.0, 2.0**-1074, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]
+    p1 = np.concatenate([edges, np.random.default_rng(2).random(shape[-1] - len(edges))])
+    p = np.broadcast_to(p1, shape)
+    per = harness._CHUNK_VALUES // p.size
+    monkeypatch.setattr(harness, "_cpu_count", lambda: cores)
+    for m in (1, 3, per + 1):
+        rng, ref = philox(4, 7), philox(4, 7)
+        bits = harness._draw_reduced(rng, m, p, lambda block: block)
+        np.testing.assert_array_equal(bits, oneshot_bernoulli(ref, (m,), p))
+        assert rng.random(7).tolist() == ref.random(7).tolist()
 
 
 def test_an_exception_in_a_late_stretch_is_raised_by_the_draw(monkeypatch):

@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixcut import model as model_module
 from mixcut.model import (
     Dataset,
     MixtureModel,
+    bernoulli_bits,
+    bernoulli_thresholds,
     constant_gap_mixture,
     derive_seed,
     divergence,
     figure1_mixture,
     load_model,
+    philox,
     sample,
     save_model,
 )
+from oracles import oneshot_bernoulli
 
 prob_vectors = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=12
@@ -153,3 +158,76 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(7, 6, 640, 3) != derive_seed(8, 6, 640, 3)
     # pinned so a numpy SeedSequence behavior change cannot pass silently
     assert derive_seed(0, 1, 2, 3) == 16671662351209319379
+
+
+# the probabilities at the ends of the threshold identity: 0 and 1, the
+# least subnormal, the least uniform step, a middle value and 1 - 2**-53
+EDGE_PROBS = (0.0, 2.0**-1074, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+def test_uniform_is_the_top_53_bits_of_a_raw_word():
+    rng, ref = philox(5, 2), philox(5, 2)
+    words = rng.bit_generator.random_raw(1001)
+    assert ((words >> 11) * 2.0**-53).tolist() == ref.random(1001).tolist()
+
+
+def test_bernoulli_thresholds_at_the_edge_probabilities():
+    got = bernoulli_thresholds(EDGE_PROBS)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [0, 1, 1, 2**52, 2**53 - 1, 2**53]
+
+
+def test_bernoulli_bits_equal_the_float_comparison_at_the_threshold_words():
+    # every word whose top 53 bits sit at, or one step beside, a threshold,
+    # with low bits 0 and all ones; the uniforms are numpy's, checked above
+    p = np.array(EDGE_PROBS)
+    tops = np.unique(np.clip(np.concatenate(
+        [bernoulli_thresholds(p).astype(np.int64) + d for d in (-1, 0, 1)]), 0, 2**53 - 1))
+    words = np.concatenate([tops.astype(np.uint64) << np.uint64(11),
+                            (tops.astype(np.uint64) << np.uint64(11)) | np.uint64(2**11 - 1)])
+    uniforms = (words >> 11) * 2.0**-53
+    bits = bernoulli_bits(words[:, None].copy(), bernoulli_thresholds(p), out=np.empty((words.size, p.size), bool))
+    np.testing.assert_array_equal(bits, uniforms[:, None] < p)
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 6)])
+def test_bernoulli_bits_of_raw_words_equal_the_oneshot_draw(shape):
+    # the (L, K) case is a broadcast of the edge probabilities, as the
+    # imbalance draws pass their centers
+    p = np.broadcast_to(np.array(EDGE_PROBS), shape)
+    for lead in ((), (1,), (500,)):
+        rng, ref = philox(8, 1), philox(8, 1)
+        words = rng.bit_generator.random_raw(int(np.prod(lead + shape))).reshape(lead + shape)
+        bits = bernoulli_bits(words, bernoulli_thresholds(p), out=np.empty(lead + shape, bool))
+        np.testing.assert_array_equal(bits, oneshot_bernoulli(ref, lead, p))
+        assert rng.random(7).tolist() == ref.random(7).tolist()
+
+
+def test_sample_equals_the_oneshot_draw_and_leaves_its_generator_alike(monkeypatch):
+    # a made generator is recorded, so the state sample leaves can be read
+    made = []
+
+    def recorded(seed, *key):
+        made.append(philox(seed, *key))
+        return made[-1]
+
+    monkeypatch.setattr(model_module, "philox", recorded)
+    rnd = np.random.default_rng(4)
+    k = 37
+    p1 = np.resize(np.array(EDGE_PROBS), k)
+    model = MixtureModel(p1=p1, p2=rnd.random(k))
+    for n in (1, 3, 64):
+        ds = sample(model, n, seed=21)
+        ref = philox(21)
+        stack = np.concatenate([np.tile(model.p1, n), np.tile(model.p2, n)]).reshape(2 * n, k)
+        want = oneshot_bernoulli(ref, (), stack)
+        assert ds.bits.dtype == np.uint8
+        np.testing.assert_array_equal(ds.bits, want)
+        assert made[-1].random(7).tolist() == ref.random(7).tolist()
+
+
+def test_model_thresholds_are_those_of_its_centers_and_read_only():
+    model = constant_gap_mixture(9, 0.3)
+    np.testing.assert_array_equal(model.thresholds, bernoulli_thresholds(np.stack([model.p1, model.p2])))
+    assert model.thresholds.shape == (2, 9) and not model.thresholds.flags.writeable
+
