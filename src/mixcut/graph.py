@@ -31,12 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Dataset, MixtureModel
+from .model import BLOCK_VALUES, Dataset, MixtureModel
 
 __all__ = [
     "Metric",
     "CutGraph",
     "BalancedCut",
+    "exact_gram",
     "build_graph",
     "cut_weight",
     "score_cut_weight",
@@ -121,24 +122,49 @@ class BalancedCut:
         return m
 
 
-def build_graph(dataset: Dataset, metric: Metric = Metric.HAMMING) -> CutGraph:
-    """The dataset's Hamming graph: all pairwise Hamming distances, via one
-    matrix product.
+def exact_gram(bits: np.ndarray, rows: bool) -> np.ndarray:
+    """The float64 Gram matrix of a 0/1 matrix B: B B^T when `rows`, else
+    B^T B.
 
-    The Gram matrix of shared ones is one float64 BLAS product (numpy has no
-    BLAS kernel for int64), cast back to exact int64 scores.  `metric`
-    exists only for callers that still pass one (the layered benchmark) and
-    must be Hamming; it goes with `harness.worker_count` and
+    It is summed over blocks of the contracted axis, each cast from the
+    uint8 bits into one reused float64 buffer, so no float64 copy of the
+    whole matrix is made.  With m the Gram's side, a block spans
+    max(m, BLOCK_VALUES // m) of the contracted axis: never more than
+    max(BLOCK_VALUES, m^2) values, and one block whenever the Gram is the
+    larger array, so a large Gram is never summed block by block.
+    Exact for any blocking and any number of BLAS threads: every entry and
+    partial sum is an integer at most the contracted length, below 2**53.
+    """
+    a = bits if rows else bits.T
+    m, length = a.shape
+    width = max(m, BLOCK_VALUES // m)
+    buffer = np.empty((m, min(width, length)))
+    gram = np.zeros((m, m))
+    for lo in range(0, length, width):
+        block = buffer[:, :min(width, length - lo)]
+        block[...] = a[:, lo:lo + width]
+        gram += block @ block.T
+    return gram
+
+
+def build_graph(dataset: Dataset, metric: Metric = Metric.HAMMING) -> CutGraph:
+    """The dataset's Hamming graph: all pairwise Hamming distances
+    pop_i + pop_j - 2 <b_i, b_j>, from the Gram matrix of shared ones.
+
+    The weights are formed in place on the float64 `exact_gram` and cast
+    once to int64; every value is an integer at most 2K, so none rounds.
+    `metric` exists only for callers that still pass one (the layered
+    benchmark) and must be Hamming; it goes with `harness.worker_count` and
     `kernels.active_backend` (ROADMAP item 1).
     """
     if metric is not Metric.HAMMING:
         raise ValueError("build_graph builds only the Hamming graph")
-    bits = dataset.bits.astype(np.float64)
-    # Exact: each entry counts shared ones, and every partial sum of the
-    # product is an integer <= K < 2**53, so no float64 step rounds.
-    scores = (bits @ bits.T).astype(np.int64)
-    pop = np.diag(scores)
-    return CutGraph(weights=pop[:, None] + pop[None, :] - 2 * scores)
+    weights = exact_gram(dataset.bits, rows=True)
+    pop = weights.diagonal().copy()
+    weights *= -2
+    weights += pop[:, None]
+    weights += pop[None, :]
+    return CutGraph(weights=weights.astype(np.int64))
 
 
 def cut_weight(graph: CutGraph, cut: BalancedCut) -> int:

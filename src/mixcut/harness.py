@@ -18,9 +18,9 @@ closed-form quantity from its owner: `graph.diff_node` and
 of datasets, `theory.bad_node_threshold_k` and `theory.rho2_standin`.  Each
 check draws its samples through `_draw_reduced`: the sample axis is split
 into one contiguous stretch per available CPU, each stretch drawn on its
-own thread in blocks of about 2**17 raw Philox words, each word decided
-against `model.bernoulli_thresholds`, and every block reduced to
-per-sample values at once, so only those values are kept whole.  Philox is
+own thread in blocks of about `model.BLOCK_VALUES` raw Philox words, each
+word decided against `model.bernoulli_thresholds`, and every block reduced
+to per-sample values at once, so only those values are kept whole.  Philox is
 counter-based, so each stretch starts at its own offset of the check's one
 stream and reads the same words as one draw of the whole sample array.
 Every per-sample value depends on that sample's bits alone, so the reports
@@ -44,6 +44,7 @@ import numpy as np
 
 from .graph import Metric, diff_node, score_cut_weight
 from .model import (
+    BLOCK_VALUES,
     MixtureModel,
     bernoulli_bits,
     bernoulli_thresholds,
@@ -448,10 +449,6 @@ class ConcentrationReport:
         return all(c.passed for c in self.checks if c.passed is not None)
 
 
-# Values per block of a chunked draw or reduction: about 2**17 uint64 words
-# or float64 deviations (1 MB), so a block and its bits stay in cache while
-# its reduction reads them.
-_CHUNK_VALUES = 1 << 17
 # Words per Philox block: each counter value yields four 64-bit words.
 _PHILOX_WORDS = 4
 
@@ -497,7 +494,7 @@ def _draw_reduced(rng, m: int, p: np.ndarray, reduce) -> np.ndarray:
     counter-based, so each stretch reads its words from its own bit
     generator placed at its first word (`_philox_at`), with no walk through
     the words before it.  A stretch draws its rows in blocks of about
-    `_CHUNK_VALUES` words, decides them into a bool buffer of its own,
+    `BLOCK_VALUES` words, decides them into a bool buffer of its own,
     releases the block's words before drawing the next, and writes the
     reduced values into the shared result.  So the bits equal
     `rng.random((m,) + p.shape) < p` for any number of stretches, and `rng`
@@ -506,7 +503,7 @@ def _draw_reduced(rng, m: int, p: np.ndarray, reduce) -> np.ndarray:
     sample's bits alone, as every check's reduction does.  An exception
     raised in any stretch is raised here once all have ended.
     """
-    per = max(1, _CHUNK_VALUES // p.size)
+    per = max(1, BLOCK_VALUES // p.size)
     stretches = min(_cpu_count(), m)
     bounds = [m * i // stretches for i in range(stretches + 1)]
     thresholds = bernoulli_thresholds(p)
@@ -630,7 +627,7 @@ def _imbalance_deviations(cfg: VerifyConfig, key: int):
     at once, so only the m x K column counts u and v are kept whole.  They
     are exact in a small signed type: the smallest one that holds -L - 1
     holds every count and every u - v in [-L, L].  The float64 deviations
-    are formed from them in blocks of about `_CHUNK_VALUES` values, into
+    are formed from them in blocks of about `BLOCK_VALUES` values, into
     one buffer that each block overwrites, so a caller must be done with a
     block (and may overwrite it) before asking for the next."""
     p1, p2 = cfg.model.p1, cfg.model.p2
@@ -644,7 +641,7 @@ def _imbalance_deviations(cfg: VerifyConfig, key: int):
     u = _draw_reduced(rng, m, np.broadcast_to(p1, (l, p1.size)), column_counts)
     v = _draw_reduced(rng, m, np.broadcast_to(p2, (l, p2.size)), column_counts)
     shift, scale = l * (p1 - p2), math.sqrt(l)
-    rows = max(1, _CHUNK_VALUES // p1.size)
+    rows = max(1, BLOCK_VALUES // p1.size)
     dev = np.empty((min(rows, m), p1.size))
     for start in range(0, m, rows):
         block = dev[:min(rows, m - start)]

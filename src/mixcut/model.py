@@ -20,6 +20,12 @@ so that uniform is below p exactly when (w >> 11) < ceil(p * 2**53).
 applies them; a word array gives the same bits as `random() < p` over the
 same words, for every p in [0, 1], and leaves the generator in the same
 state.
+
+Work over a whole sample is done in blocks of about `BLOCK_VALUES` values,
+so no copy of a sample at a wider type than its uint8 bits is ever made
+whole: `sample` draws its words in row blocks, `graph.exact_gram`
+multiplies float64 blocks of the bits, and the concentration checks draw
+and reduce their samples in blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +48,12 @@ __all__ = [
     "philox",
     "bernoulli_thresholds",
     "bernoulli_bits",
+    "BLOCK_VALUES",
 ]
+
+# Values per block of blockwise work: 2**17 uint64 words or float64 values
+# (1 MiB), so a block and what is derived from it stay in cache together.
+BLOCK_VALUES = 1 << 17
 
 # numpy's `random()` keeps the top 53 bits of a word: (w >> 11) * 2**-53
 _UNIFORM_SHIFT = 11
@@ -60,13 +71,16 @@ def _frozen_probs(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureModel:
     """Pair of Bernoulli centers over {0,1}^K. Immutable once built.
 
     `thresholds` holds the `bernoulli_thresholds` of p1 and p2 as the rows
     of one read-only 2 x K uint64 array, made once here so that `sample`
-    does not remake them on every call."""
+    does not remake them on every call.
+
+    Two models are equal when their centers are equal entry by entry, and
+    equal models hash alike."""
 
     p1: np.ndarray
     p2: np.ndarray
@@ -80,6 +94,15 @@ class MixtureModel:
         thresholds = bernoulli_thresholds(np.stack([self.p1, self.p2]))
         thresholds.flags.writeable = False
         object.__setattr__(self, "thresholds", thresholds)
+
+    def __eq__(self, other):
+        if not isinstance(other, MixtureModel):
+            return NotImplemented
+        return np.array_equal(self.p1, other.p1) and np.array_equal(self.p2, other.p2)
+
+    def __hash__(self):
+        # Python floats hash equal values alike, -0.0 and 0.0 included
+        return hash((tuple(self.p1.tolist()), tuple(self.p2.tolist())))
 
     @property
     def k(self) -> int:
@@ -135,18 +158,26 @@ def divergence(model: MixtureModel) -> float:
 def sample(model: MixtureModel, n_per_side: int, seed: int) -> Dataset:
     """Draw N rows from each component, bit-reproducible for a given seed.
 
-    Bit [i, k] is decided by raw word [i, k] of one C-order draw of
+    Bit [i, k] is decided by raw word [i, k] of the C-order stream of
     2N x K words from `philox(seed)`, against the model's `thresholds`, so
-    it equals `philox(seed).random((2N, K))[i, k] < pt^k`."""
+    it equals `philox(seed).random((2N, K))[i, k] < pt^k`.  The words are
+    drawn in blocks of whole rows of about `BLOCK_VALUES` words, each
+    decided straight into the uint8 bits and released before the next is
+    drawn."""
     if n_per_side < 1:
         raise ValueError("n_per_side must be >= 1")
-    # each half is compared against its own center straight into the
-    # uint8 array
-    words = philox(seed).bit_generator.random_raw(2 * n_per_side * model.k)
-    words = words.reshape(2 * n_per_side, model.k)
-    bits = np.empty(words.shape, dtype=np.uint8)
-    bernoulli_bits(words[:n_per_side], model.thresholds[0], out=bits[:n_per_side].view(bool))
-    bernoulli_bits(words[n_per_side:], model.thresholds[1], out=bits[n_per_side:].view(bool))
+    n, k = 2 * n_per_side, model.k
+    per = max(1, BLOCK_VALUES // k)
+    bit_generator = philox(seed).bit_generator
+    bits = np.empty((n, k), dtype=np.uint8)
+    for lo in range(0, n, per):
+        hi = min(lo + per, n)
+        # rows [lo, mid) are drawn from p1 and rows [mid, hi) from p2
+        mid = min(max(lo, n_per_side), hi)
+        words = bit_generator.random_raw((hi - lo) * k).reshape(hi - lo, k)
+        bernoulli_bits(words[:mid - lo], model.thresholds[0], out=bits[lo:mid].view(bool))
+        bernoulli_bits(words[mid - lo:], model.thresholds[1], out=bits[mid:hi].view(bool))
+        del words
     labels = np.repeat(np.array([1, 2], dtype=np.int8), n_per_side)
     return Dataset(bits=bits, labels=labels, n_per_side=n_per_side, seed=int(seed))
 

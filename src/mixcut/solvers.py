@@ -10,9 +10,12 @@ baseline centers the bit matrix by its global column means and splits the
 nodes on the leading left singular vector:
 centering removes the all-samples mean direction, which otherwise occupies
 the top of the uncentered spectrum, so the between-population axis is the
-leading direction of the centered matrix.  It takes that vector as the top
-eigenvector of the 2N x 2N centered Gram matrix rather than from an SVD of
-the 2N x K matrix, and builds no graph.
+leading direction of the centered matrix.  It takes that direction from
+`eigh` of the centered matrix's exact Gram on its smaller side, 2N x 2N or
+K x K, formed blockwise by `graph.exact_gram` rather than from an SVD of a
+float64 copy of the bits, and builds no graph.  Each node's value is a
+fixed-order sum over its own row, so identical rows get bit-equal values
+and the stable split takes them by node index.
 
 `solve` dispatches on the method name.  The estimator is the maximum
 Hamming cut, which is the minimum score cut (`graph` states the identity),
@@ -31,8 +34,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .graph import BalancedCut, CutGraph, Metric, build_graph, cut_weight_from_rows, swap_count, true_partition
-from .model import Dataset, philox
+from .graph import (
+    BalancedCut,
+    CutGraph,
+    Metric,
+    build_graph,
+    cut_weight_from_rows,
+    exact_gram,
+    swap_count,
+    true_partition,
+)
+from .model import BLOCK_VALUES, Dataset, philox
 
 __all__ = [
     "METHODS",
@@ -145,27 +157,69 @@ def solve_hillclimb(
     )
 
 
+def _spectral_lead(bits: np.ndarray) -> np.ndarray:
+    """Each row's value on the leading axis of the column-centred bits,
+    up to one shift and one scale shared by all rows; raises
+    DegenerateInstanceError when all rows are identical.
+
+    With n rows, s the column sums and D = n B - 1 s^T = n C (C the centred
+    bits), the Gram of D is taken on its smaller side, in exact integers:
+        n^2 C C^T = n^2 B B^T - n (B s 1^T + 1 (B s)^T) + (s^T s) 1 1^T
+    when n <= K, else
+        n^2 C^T C = n^2 B^T B - n s s^T.
+    B s is the row sums of B B^T and s^T s their sum.  The top eigenvector
+    of the row-side Gram is C's leading left singular vector u, which is
+    mapped to the right one, v proportional to D^T u = n B^T u - s (1^T u),
+    each entry of B^T u a fixed-order sum down its column; the column-side
+    Gram gives v itself.  The value of row i is b_i . v, a fixed-order sum
+    over its own row: C v is proportional to u, and b_i . v differs from
+    c_i . v by the same shift for every row.  So identical rows get
+    bit-equal values.  Every entry and partial sum of either Gram is an
+    integer of magnitude below 4 n^2 max(n, K), which the guard keeps
+    below 2**53.
+    """
+    n, k = bits.shape
+    if 4 * n * n * max(n, k) >= 2**53:
+        raise ValueError("bit matrix too large for an exact float64 Gram")
+    s = bits.sum(axis=0, dtype=np.int64).astype(np.float64)
+    if n <= k:
+        gram = exact_gram(bits, rows=True)
+        bs = gram.sum(axis=1)
+        gram *= n * n
+        gram -= n * bs[:, None]
+        gram -= n * bs[None, :]
+        gram += bs.sum()
+    else:
+        gram = exact_gram(bits, rows=False)
+        gram *= n * n
+        gram -= n * np.multiply.outer(s, s)
+    if not gram.any():  # C = 0 exactly
+        raise DegenerateInstanceError("all rows identical; no separation axis exists")
+    top = np.linalg.eigh(gram)[1][:, -1]
+    if n <= k:
+        width = max(n, BLOCK_VALUES // n)
+        btu = np.concatenate(
+            [(bits[:, lo:lo + width] * top[:, None]).sum(axis=0) for lo in range(0, k, width)]
+        )
+        v = n * btu - s * top.sum()
+    else:
+        v = top
+    per = max(1, BLOCK_VALUES // k)
+    return np.concatenate([(bits[lo:lo + per] * v).sum(axis=-1) for lo in range(0, n, per)])
+
+
 def solve_spectral(dataset: Dataset, metric: Metric = Metric.HAMMING) -> SolveResult:
     """Split on the leading left singular vector of the centered bit matrix.
 
-    With C = U S V^T, C C^T = U S^2 U^T, so the eigenvector of the largest
-    eigenvalue of the 2N x 2N Gram C C^T (`eigh`, last column) is C's
-    leading left singular vector up to sign; forming it this way costs one
-    2N x 2N x K product and a 2N x 2N eigensolve instead of a 2N x K SVD.
-    The top N nodes by vector value form side_s (stable order on equal
-    values); a global sign flip only mirrors the bipartition, so the result
-    is sign-invariant.  Rows whose entries tie in exact arithmetic
-    (duplicate rows) get values equal up to rounding, which then orders
-    them; where such rows straddle the split either order is a valid
-    split, and which one is returned may differ from an SVD's.  The
-    returned weight is the cut's weight under `metric`, from
-    `cut_weight_from_rows`.
+    The vector comes from `eigh` of the centred bits' exact Gram on its
+    smaller side, n x n or K x K (see `_spectral_lead`), so no float64 copy
+    of the bits is made.  The top N nodes by value form side_s, in stable
+    order, so rows with equal values, identical rows among them, are
+    taken by node index; a global sign flip of the vector only mirrors the
+    bipartition unless equal values straddle the split.  The returned
+    weight is the cut's weight under `metric`, from `cut_weight_from_rows`.
     """
-    bits = dataset.bits.astype(np.float64)
-    if np.all(dataset.bits == dataset.bits[0]):
-        raise DegenerateInstanceError("all rows identical; no separation axis exists")
-    centered = bits - bits.mean(axis=0, keepdims=True)
-    lead = np.linalg.eigh(centered @ centered.T)[1][:, -1]
+    lead = _spectral_lead(dataset.bits)
     order = np.argsort(-lead, kind="stable")
     cut = BalancedCut.from_side(order[: dataset.n_per_side].tolist(), dataset.n_nodes)
     return SolveResult(

@@ -12,11 +12,12 @@ from mixcut.graph import (
     cut_weight,
     cut_weight_from_rows,
     diff_node,
+    exact_gram,
     score_cut_weight,
     swap_count,
     true_partition,
 )
-from mixcut.model import Dataset, MixtureModel, constant_gap_mixture, divergence, philox, sample
+from mixcut.model import BLOCK_VALUES, Dataset, MixtureModel, constant_gap_mixture, divergence, philox, sample
 
 from oracles import all_balanced_cuts, cut_weight_brute, four_term_diff, random_instance, score_brute, score_graph
 
@@ -76,6 +77,25 @@ def test_build_graph_is_exact_at_benchmark_size(metric):
     graph = build_graph(_dataset_from_bits(bits), metric)
     assert graph.weights.dtype == np.int64 and not graph.weights.flags.writeable
     assert np.array_equal(graph.weights, _int64_reference_weights(bits, metric))
+
+
+# the summed axis is cut into blocks of max(m, BLOCK_VALUES // m) for a Gram
+# of side m: one block for the first four shapes, several with a short last
+# one for the others
+@pytest.mark.parametrize("shape,rows", [
+    ((2, 5), True), ((2, 5), False), ((40, 3), True), ((40, 3), False),
+    ((2, BLOCK_VALUES // 2 + 7), True),
+    ((256, 2000), True),
+    ((3 * (BLOCK_VALUES // 100) - 7, 100), False),
+    ((BLOCK_VALUES // 7 + 9, 7), False),
+])
+def test_exact_gram_equals_an_int64_product(shape, rows):
+    bits = np.random.default_rng(shape[0]).integers(0, 2, size=shape, dtype=np.uint8)
+    b = bits.astype(np.int64)
+    want = b @ b.T if rows else b.T @ b
+    gram = exact_gram(bits, rows)
+    assert gram.dtype == np.float64
+    assert np.array_equal(gram, want)
 
 
 def test_build_graph_is_exact_on_all_ones_rows_at_large_k():

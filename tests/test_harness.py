@@ -23,7 +23,7 @@ from mixcut.harness import (
     worker_count,
 )
 from mixcut.graph import diff_node, score_cut_weight
-from mixcut.model import MixtureModel, constant_gap_mixture, philox, save_model
+from mixcut.model import BLOCK_VALUES, MixtureModel, constant_gap_mixture, philox, save_model
 from mixcut.solvers import EnumerationCapError
 from mixcut.theory import delta, is_bad_node
 from oracles import oneshot_bernoulli, oneshot_imbalance_deviations
@@ -376,6 +376,15 @@ def test_verify_concentration_rejects_gamma_zero():
         verify_concentration(cfg)
 
 
+def test_verify_configs_compare_and_hash_by_their_fields():
+    cfg = VerifyConfig(model=constant_gap_mixture(10, 0.1), seed=3)
+    same = VerifyConfig(model=constant_gap_mixture(10, 0.1), seed=3)
+    assert cfg == same and not cfg != same
+    assert hash(cfg) == hash(same) and len({cfg, same}) == 1
+    assert cfg != VerifyConfig(model=constant_gap_mixture(10, 0.2), seed=3)
+    assert cfg != VerifyConfig(model=constant_gap_mixture(10, 0.1), seed=4)
+
+
 # Every check's target, empirical value (float.hex), tolerance text, verdict
 # and note, at reduced sample sizes: K=200 meets the bad-node hypothesis at
 # gamma=0.2, tau=0.01 and K=50 does not.  A refactor of the checks must
@@ -504,7 +513,7 @@ def test_streamed_imbalance_checks_equal_the_oneshot_deviations(monkeypatch, l):
     k = 37
     rnd = np.random.default_rng(l)
     model = MixtureModel(p1=rnd.random(k), p2=rnd.random(k))
-    rows = harness._CHUNK_VALUES // k  # draws per block of deviations
+    rows = BLOCK_VALUES // k  # draws per block of deviations
     for m in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
         cfg = VerifyConfig(model=model, imbalance_draws=m, imbalance_l=l, seed=6)
         dev = oneshot_imbalance_deviations(philox(6, 4), m, model.p1, model.p2, l)
@@ -574,7 +583,7 @@ def test_draw_is_the_same_for_any_number_of_stretches(monkeypatch, cores, lead):
     # generator part way through one; a short switch interval interleaves
     # the stretches' threads often
     model = constant_gap_mixture(37, 0.1)
-    per = harness._CHUNK_VALUES // model.k
+    per = BLOCK_VALUES // model.k
     monkeypatch.setattr(harness, "_cpu_count", lambda: cores)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -607,7 +616,7 @@ def test_draw_decides_the_edge_probabilities_as_the_oneshot_draw(monkeypatch, co
     edges = [0.0, 2.0**-1074, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]
     p1 = np.concatenate([edges, np.random.default_rng(2).random(shape[-1] - len(edges))])
     p = np.broadcast_to(p1, shape)
-    per = harness._CHUNK_VALUES // p.size
+    per = BLOCK_VALUES // p.size
     monkeypatch.setattr(harness, "_cpu_count", lambda: cores)
     for m in (1, 3, per + 1):
         rng, ref = philox(4, 7), philox(4, 7)

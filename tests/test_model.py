@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mixcut import model as model_module
 from mixcut.model import (
+    BLOCK_VALUES,
     Dataset,
     MixtureModel,
     bernoulli_bits,
@@ -152,6 +153,20 @@ def test_model_json_roundtrip(tmp_path):
     assert np.array_equal(loaded.p2, model.p2)
 
 
+def test_models_compare_and_hash_by_their_centers():
+    model = constant_gap_mixture(3, 0.1)
+    same = MixtureModel(p1=model.p1.tolist(), p2=model.p2.tolist())
+    assert model == same and not model != same
+    assert hash(model) == hash(same) and len({model, same}) == 1
+    assert model != constant_gap_mixture(3, 0.2) and model != constant_gap_mixture(4, 0.1)
+    assert model != MixtureModel(p1=model.p2, p2=model.p1)
+    assert model != (model.p1, model.p2)
+    # equal centers hash alike, signed zeros included
+    zeros = MixtureModel(p1=[0.0, 0.5], p2=[0.5, 0.0])
+    signed = MixtureModel(p1=[-0.0, 0.5], p2=[0.5, -0.0])
+    assert zeros == signed and hash(zeros) == hash(signed)
+
+
 def test_derive_seed_stable_and_distinct():
     assert derive_seed(7, 6, 640, 3) == derive_seed(7, 6, 640, 3)
     assert derive_seed(7, 6, 640, 3) != derive_seed(7, 6, 640, 4)
@@ -216,7 +231,8 @@ def test_sample_equals_the_oneshot_draw_and_leaves_its_generator_alike(monkeypat
     k = 37
     p1 = np.resize(np.array(EDGE_PROBS), k)
     model = MixtureModel(p1=p1, p2=rnd.random(k))
-    for n in (1, 3, 64):
+    # the last n draws each half in two row blocks, the second one short
+    for n in (1, 3, 64, BLOCK_VALUES // k + 5):
         ds = sample(model, n, seed=21)
         ref = philox(21)
         stack = np.concatenate([np.tile(model.p1, n), np.tile(model.p2, n)]).reshape(2 * n, k)

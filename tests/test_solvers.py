@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import defaultdict
 from itertools import combinations
 
 import numpy as np
@@ -13,11 +15,12 @@ from mixcut.graph import (
     cut_weight,
     true_partition,
 )
-from mixcut.model import MixtureModel, constant_gap_mixture, derive_seed, sample
+from mixcut.model import Dataset, MixtureModel, constant_gap_mixture, derive_seed, sample
 from mixcut.solvers import (
     DegenerateInstanceError,
     EnumerationCapError,
     _random_balanced_membership,
+    _spectral_lead,
     judge,
     solve,
     solve_exact,
@@ -374,6 +377,74 @@ def test_spectral_matches_svd_split_where_the_split_has_a_margin(n_per_side, k_v
                 assert solve_spectral(ds).best_cut == BalancedCut.from_side(side_s, ds.n_nodes)
                 compared += 1
     assert compared >= 50
+
+
+def _symmetric_duplicates():
+    # three rows of each of two mirror-image kinds and two copies of a row
+    # that the mirror fixes, so those copies lie exactly between the kinds
+    # and must straddle the split
+    a, b, mid = [1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1], [1, 1, 1, 1, 1, 1]
+    bits = np.array([a, a, a, b, b, b, mid, mid], dtype=np.uint8)
+    return Dataset(bits=bits, labels=np.repeat([1, 2], 4), n_per_side=4, seed=0)
+
+
+# the symmetric rows, and two sampled K = 5 instances whose cut changed when
+# identical rows stopped being ordered by the rounding of eigh's vector
+@pytest.mark.parametrize("gamma,n,trial", [(None, 4, None), (0.05, 24, 6), (0.25, 64, 6)])
+def test_spectral_gives_identical_rows_equal_values_and_splits_them_by_node_index(gamma, n, trial):
+    if gamma is None:
+        base = _symmetric_duplicates()
+    else:
+        base = sample(constant_gap_mixture(5, gamma), n, derive_seed(2009, n, 5, trial))
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        perm = rng.permutation(base.n_nodes)
+        ds = Dataset(bits=base.bits[perm], labels=base.labels[perm], n_per_side=base.n_per_side, seed=0)
+        lead = _spectral_lead(ds.bits)
+        top = np.argsort(-lead, kind="stable")[: ds.n_per_side]
+        assert solve_spectral(ds).best_cut == BalancedCut.from_side(top.tolist(), ds.n_nodes)
+        copies = defaultdict(list)
+        for node, row in enumerate(ds.bits):
+            copies[row.tobytes()].append(node)
+        straddled = 0
+        for nodes in copies.values():
+            values = lead[nodes].view(np.uint64)
+            assert np.all(values == values[0]), nodes
+            # the copies on the larger-value side are the lowest-indexed ones
+            taken = np.isin(nodes, top)
+            assert np.array_equal(taken, np.sort(taken)[::-1]), nodes
+            straddled += 0 < taken.sum() < len(nodes)
+        assert straddled == 1
+
+
+@pytest.mark.parametrize("layer", ["sample", "build_graph", "solve_spectral"])
+def test_trial_layers_stay_within_3_mib_at_n128_k2000(layer):
+    # whole 8-byte copies of the bits (the raw words, float64 Gram inputs)
+    # put the traced peaks at 4.5, 5.4 and 8.8 MiB; blockwise draws and
+    # Gram products keep them near 2
+    model = constant_gap_mixture(2000, 0.05)
+    ds = sample(model, 128, 5)
+    call = {
+        "sample": lambda: sample(model, 128, 5),
+        "build_graph": lambda: build_graph(ds),
+        "solve_spectral": lambda: solve_spectral(ds),
+    }[layer]
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("shape", [(4, 2**47), (2**17, 1)])
+def test_spectral_refuses_bits_whose_gram_could_round(shape):
+    # 4 n^2 max(n, K) = 2**53 on either side of the Gram; the bits are a
+    # zero-stride view, so nothing of that size is allocated
+    bits = np.broadcast_to(np.zeros(1, dtype=np.uint8), shape)
+    with pytest.raises(ValueError, match="too large"):
+        _spectral_lead(bits)
 
 
 def test_spectral_balanced_output_and_recorded_rate():
