@@ -127,18 +127,24 @@ def exact_gram(bits: np.ndarray, rows: bool) -> np.ndarray:
     B^T B.
 
     It is summed over blocks of the contracted axis, each cast from the
-    uint8 bits into one reused float64 buffer, so no float64 copy of the
-    whole matrix is made.  With m the Gram's side, a block spans
-    max(m, BLOCK_VALUES // m) of the contracted axis: never more than
-    max(BLOCK_VALUES, m^2) values, and one block whenever the Gram is the
-    larger array, so a large Gram is never summed block by block.
-    Exact for any blocking and any number of BLAS threads: every entry and
-    partial sum is an integer at most the contracted length, below 2**53.
+    uint8 bits into one reused float32 buffer and multiplied in float32,
+    so no wide copy of the whole matrix is made.  With m the Gram's side,
+    a block spans max(m, BLOCK_VALUES // m) of the contracted axis: never
+    more than max(BLOCK_VALUES, m^2) values, and one block whenever the
+    Gram is the larger array, so a large Gram is never summed block by
+    block.  Exact for any blocking and any number of BLAS threads: every
+    entry and partial sum of a block's product is an integer at most the
+    block's width, which the guard keeps below 2**24, so the float32
+    product is exact; each is added into the float64 total, whose entries
+    and partial sums are integers at most the contracted length, below
+    2**53.
     """
     a = bits if rows else bits.T
     m, length = a.shape
     width = max(m, BLOCK_VALUES // m)
-    buffer = np.empty((m, min(width, length)))
+    if width >= 2**24:
+        raise ValueError("bit matrix too large for exact float32 Gram blocks")
+    buffer = np.empty((m, min(width, length)), dtype=np.float32)
     gram = np.zeros((m, m))
     for lo in range(0, length, width):
         block = buffer[:, :min(width, length - lo)]

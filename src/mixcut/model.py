@@ -24,7 +24,7 @@ state.
 Work over a whole sample is done in blocks of about `BLOCK_VALUES` values,
 so no copy of a sample at a wider type than its uint8 bits is ever made
 whole: `sample` draws its words in row blocks, `graph.exact_gram`
-multiplies float64 blocks of the bits, and the concentration checks draw
+multiplies float32 blocks of the bits, and the concentration checks draw
 and reduce their samples in blocks.
 """
 
@@ -64,8 +64,10 @@ def _frozen_probs(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a non-empty 1-D probability vector")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError(f"{name} entries must lie in [0, 1]")
+    # NaN fails both comparisons, so it is refused with the infinities
+    bad = np.flatnonzero(~((arr >= 0.0) & (arr <= 1.0)))
+    if bad.size:
+        raise ValueError(f"{name}[{bad[0]}] = {float(arr[bad[0]])} is not a probability in [0, 1]")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -230,7 +232,8 @@ _MODEL_KEYS = ("p1", "p2")
 def load_model(path: str) -> MixtureModel:
     """The model saved at `path` by `save_model`: a JSON object with exactly
     the keys p1 and p2.  Any other shape, a missing key or an unknown key
-    raises ValueError naming the file and the key."""
+    raises ValueError naming the file and the key; a center entry that is
+    NaN, infinite or outside [0, 1], one naming the file and the entry."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -244,7 +247,10 @@ def load_model(path: str) -> MixtureModel:
     missing = [key for key in _MODEL_KEYS if key not in payload]
     if missing:
         raise ValueError(f"model file {path}: missing key(s) {', '.join(map(repr, missing))}")
-    return MixtureModel(p1=payload["p1"], p2=payload["p2"])
+    try:
+        return MixtureModel(p1=payload["p1"], p2=payload["p2"])
+    except ValueError as exc:
+        raise ValueError(f"model file {path}: {exc}") from exc
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:

@@ -128,19 +128,19 @@ def solve_hillclimb(
 
     Deterministic for a given seed: restart r draws its start from
     `philox(seed, r)`; equal-weight optima keep the earliest restart.
-    Each restart's end is mirrored to node 0's side before comparison, so
-    only distinct bipartitions of the best weight set the tie flag.
+    Every restart climbs in one `kernels.hillclimb_stack` call, in
+    lockstep, each to the end its climb alone would reach.  Each restart's
+    end is mirrored to node 0's side before comparison, so only distinct
+    bipartitions of the best weight set the tie flag.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    starts = [_random_balanced_membership(graph.n_nodes, philox(seed, r)) for r in range(restarts)]
     best_w = None
     best_m = None
     tie = False
     total_evals = 0
-    terms = kernels._climb_terms(graph.weights)
-    for r in range(restarts):
-        start = _random_balanced_membership(graph.n_nodes, philox(seed, r))
-        w, m, evals, _trace = kernels._climb(terms, start, first_improvement)
+    for w, m, evals, _trace in kernels.hillclimb_stack(graph.weights, starts, first_improvement):
         if m[0] == 0:
             m = 1 - m
         total_evals += evals + 1

@@ -377,6 +377,15 @@ def test_a_model_file_with_an_unknown_or_missing_key_is_exit_2(tmp_path, capsys,
     assert not (tmp_path / "phase.csv").exists()
 
 
+def test_solve_refuses_a_model_file_with_a_nan_center(tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    model_path.write_text('{"p1": [0.7, NaN, 0.7], "p2": [0.3, 0.3, 0.3]}')
+    code, stdout, stderr = run_cli(capsys, "solve", "--model", str(model_path), "--n", "4", "--seed", "1",
+                                   "--method", "exact")
+    assert code == 2 and stdout == ""
+    assert str(model_path) in stderr and "p1[1] = nan" in stderr
+
+
 def test_python_dash_m_mixcut_runs_the_cli(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = MIXCUT_PATH + os.pathsep + env.get("PYTHONPATH", "")

@@ -98,6 +98,25 @@ def test_exact_gram_equals_an_int64_product(shape, rows):
     assert np.array_equal(gram, want)
 
 
+def test_exact_gram_is_exact_past_float32_integers():
+    # every entry is 2**24 + 3, which float32 rounds; the float32 blocks
+    # are exact and sum into float64.  The rows are a zero-stride view, so
+    # nothing of their length is allocated
+    length = 2**24 + 3
+    bits = np.broadcast_to(np.ones(1, dtype=np.uint8), (2, length))
+    gram = exact_gram(bits, rows=True)
+    assert gram.dtype == np.float64
+    assert np.all(gram == length)
+    assert np.all(exact_gram(bits.T, rows=False) == length)
+
+
+def test_exact_gram_refuses_blocks_float32_could_round():
+    # a Gram side of 2**24 makes blocks of that width
+    bits = np.broadcast_to(np.ones(1, dtype=np.uint8), (2**24, 1))
+    with pytest.raises(ValueError, match="too large"):
+        exact_gram(bits, rows=True)
+
+
 def test_build_graph_is_exact_on_all_ones_rows_at_large_k():
     k = 100_000
     ds = _dataset_from_bits(np.ones((8, k), dtype=np.uint8))

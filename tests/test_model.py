@@ -72,6 +72,12 @@ def test_model_rejects_bad_probabilities():
         MixtureModel(p1=[], p2=[])
 
 
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_model_refuses_a_center_that_is_not_finite_and_names_the_entry(value):
+    with pytest.raises(ValueError, match=r"p2\[1\] = .* is not a probability"):
+        MixtureModel(p1=[0.5, 0.5, 0.5], p2=[0.5, value, 0.5])
+
+
 def test_sample_is_deterministic():
     model = constant_gap_mixture(20, 0.04)
     a = sample(model, 5, 12345)

@@ -304,6 +304,76 @@ def test_solve_hillclimb_matches_full_scan_restarts(first_improvement):
             assert res.evaluations == evals
 
 
+def _assert_stack_matches_full_scan(weights, starts, first_improvement):
+    """Climb `starts` as one stack and compare each restart with the full
+    scan from its start; returns each restart's number of swaps."""
+    ends = kernels.hillclimb_stack(weights, starts, first_improvement)
+    assert len(ends) == len(starts)
+    for start, (weight, m, evals, trace) in zip(starts, ends):
+        want_weight, want_m, want_evals, want_trace = full_scan_hillclimb(weights, start, first_improvement)
+        assert (weight, m.tolist(), evals, trace) == (want_weight, want_m.tolist(), want_evals, want_trace)
+    return [len(trace) for *_, trace in ends]
+
+
+@pytest.mark.parametrize("first_improvement", (False, True))
+def test_hillclimb_stack_matches_full_scan_restart_by_restart(first_improvement):
+    # stacks of 8 starts: tie-heavy weights in {0, 1, 2}, then Hamming
+    # graphs and negated score graphs from 2N = 2 to N = 128
+    rng = np.random.default_rng(117)
+    swaps = []
+    for n_nodes in (2, 4, 10, 32):
+        graph = _random_graph(rng, n_nodes, high=2)
+        starts = [_random_balanced_membership(n_nodes, rng) for _ in range(8)]
+        swaps.append(_assert_stack_matches_full_scan(graph.weights, starts, first_improvement))
+    for n_per_side, k in ((1, 10), (16, 100), (128, 400)):
+        ds = sample(constant_gap_mixture(k, 0.05), n_per_side, derive_seed(118, n_per_side, k))
+        starts = [_random_balanced_membership(2 * n_per_side, rng) for _ in range(8)]
+        for weights in (build_graph(ds).weights, -score_graph(ds).weights):
+            swaps.append(_assert_stack_matches_full_scan(weights, starts, first_improvement))
+    # restarts of one stack that stop at different steps leave it one by one
+    assert any(len(set(counts)) > 1 for counts in swaps)
+
+
+def test_hillclimb_stack_goes_on_when_one_restart_keeps_no_row():
+    # weight 3 across {0, 1} | {2, 3}: from that cut no row of side_s
+    # reaches the first-improvement floor, while the other start climbs to it
+    weights = np.zeros((4, 4), dtype=np.int64)
+    weights[:2, 2:] = 3
+    weights[2:, :2] = 3
+    stuck, climbing = np.array([1, 1, 0, 0], np.uint8), np.array([1, 0, 1, 0], np.uint8)
+    in_s = stuck.astype(bool)
+    c = 2 * weights[:, in_s].sum(axis=1) - weights.sum(axis=1)
+    assert (c + 2 * weights.max(axis=1))[in_s].max() < 1 + c[~in_s].min()
+    assert _assert_stack_matches_full_scan(weights, [stuck, climbing, stuck], True) == [0, 1, 0]
+    assert kernels.hillclimb_stack(weights, [stuck, climbing], True)[1][3] == [12]
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_hillclimb_stack_is_exact_at_its_guard_and_refuses_past_it(sign):
+    # n^2 max|w| < 2**53: at 2N = 4 the largest weight allowed is 2**49 - 1
+    rng = np.random.default_rng(119)
+    largest = 2**49 - 1
+    upper = np.triu(rng.integers(-largest, largest + 1, size=(4, 4)), 1)
+    upper[0, 1] = sign * largest
+    weights = upper + upper.T
+    starts = [cut.membership() for cut in all_balanced_cuts(4)]
+    for first_improvement in (False, True):
+        ends = kernels.hillclimb_stack(weights, starts, first_improvement)
+        for start, (weight, m, evals, trace) in zip(starts, ends):
+            # the naive climber sums Python integers, which never overflow
+            assert (weight, m.tolist(), evals, trace) == naive_hillclimb(weights, start, first_improvement)
+    weights[0, 1] = weights[1, 0] = sign * (largest + 1)
+    with pytest.raises(ValueError, match="too large"):
+        kernels.hillclimb_stack(weights, starts)
+
+
+@pytest.mark.parametrize("start", ([1, 1, 1, 0], [1, 0, 0, 0], [2, 0, 1, 0], [1, 0, 1]))
+def test_hillclimb_stack_refuses_a_start_that_is_not_balanced(start):
+    weights = np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64)
+    with pytest.raises(ValueError, match="balanced"):
+        kernels.hillclimb_sweep(weights, np.array(start))
+
+
 def test_hillclimb_never_beats_exact_and_is_deterministic():
     rng = np.random.default_rng(102)
     for _ in range(10):
