@@ -108,6 +108,22 @@ def test_bounds_prints_case3_threshold_and_flags(capsys):
     assert "case3" in text and "active case" in text
 
 
+# sha256 of the stdout of `mixcut bounds` over the grid below, run in order;
+# its (N, gamma) pairs fall 19 in case2, 11 in case1, 9 in none, 6 in case3
+_BOUNDS_GRID_SHA256 = "16aa5d4e66cca58abd91192c2ee9807b548427802cd03dbde0c961b85a3f1472"
+
+
+def test_bounds_output_over_every_regime_case_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for n in (4, 5, 8, 16, 20, 64, 100, 1000, 100000):
+        for gamma in (0.001, 0.01, 0.05, 0.25, 1.0):
+            for k in (1, 50, 5000):
+                code, stdout, _ = run_cli(capsys, "bounds", "--n", str(n), "--k", str(k), "--gamma", repr(gamma))
+                assert code == 0
+                digest.update(stdout.encode())
+    assert digest.hexdigest() == _BOUNDS_GRID_SHA256
+
+
 def test_bounds_refusals(capsys):
     assert run_cli(capsys, "bounds", "--n", "3", "--k", "10", "--gamma", "0.1")[0] == 2
     assert run_cli(capsys, "bounds", "--n", "10", "--k", "10", "--gamma", "0")[0] == 2
