@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 
@@ -26,6 +27,7 @@ from .model import (
 )
 from .solvers import (
     DEFAULT_ENUMERATION_CAP,
+    DEFAULT_RESTARTS,
     METHODS,
     DegenerateInstanceError,
     EnumerationCapError,
@@ -48,7 +50,9 @@ def _build_parser() -> "_Parser":
     parser = _Parser(prog="mixcut", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    gen = sub.add_parser("gen", help="emit a mixture model JSON file")
+    # gen and verify leave out every flag not given (argparse.SUPPRESS), so
+    # the generators' signatures and VerifyConfig own their defaults
+    gen = sub.add_parser("gen", help="emit a mixture model JSON file", argument_default=argparse.SUPPRESS)
     gen.add_argument("--out", required=True)
     gen.add_argument("--k", type=int, required=True)
     kind = gen.add_mutually_exclusive_group(required=True)
@@ -56,10 +60,10 @@ def _build_parser() -> "_Parser":
                       help="canned biased mixture (gamma ~ 0.0016 at defaults)")
     kind.add_argument("--gap-gamma", type=float,
                       help="constant-gap mixture with this divergence")
-    gen.add_argument("--fraction-biased", type=float, default=0.1)
-    gen.add_argument("--small", type=float, default=1e-5)
-    gen.add_argument("--large", type=float, default=0.1265)
-    gen.add_argument("--base", type=float, default=0.5)
+    gen.add_argument("--fraction-biased", type=float)
+    gen.add_argument("--small", type=float)
+    gen.add_argument("--large", type=float)
+    gen.add_argument("--base", type=float)
 
     solve = sub.add_parser("solve", help="sample one dataset and solve it")
     solve.add_argument("--model", required=True)
@@ -69,7 +73,7 @@ def _build_parser() -> "_Parser":
     solve.add_argument("--metric", choices=[m.value for m in Metric], default=Metric.HAMMING.value,
                        help="unit of the reported weights; the cut is the same under either "
                             "(the maximum Hamming cut is the minimum score cut)")
-    solve.add_argument("--restarts", type=int, default=8)
+    solve.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     solve.add_argument("--first-improvement", action="store_true")
     solve.add_argument("--cap-nodes", type=int, default=DEFAULT_ENUMERATION_CAP)
 
@@ -81,7 +85,7 @@ def _build_parser() -> "_Parser":
     bounds.add_argument("--k", type=int, required=True)
     bounds.add_argument("--gamma", type=float, required=True)
 
-    verify = sub.add_parser("verify", help="run the concentration checks")
+    verify = sub.add_parser("verify", help="run the concentration checks", argument_default=argparse.SUPPRESS)
     src = verify.add_mutually_exclusive_group(required=True)
     src.add_argument("--model")
     src.add_argument("--gap-gamma", type=float)
@@ -89,38 +93,34 @@ def _build_parser() -> "_Parser":
     verify.add_argument("--k", type=int,
                         help="dimension count of --gap-gamma or --figure1 (default 50); "
                              "refused with --model, whose file fixes K")
-    verify.add_argument("--n", type=int, default=4)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tau", type=float, default=0.01)
-    verify.add_argument("--pairs", type=int, default=100_000)
-    verify.add_argument("--cut-samples", type=int, default=10_000)
-    verify.add_argument("--node-draws", type=int, default=100_000)
-    verify.add_argument("--imbalance-draws", type=int, default=10_000)
-    verify.add_argument("--imbalance-l", type=int, default=4)
-    verify.add_argument("--l-grid", type=int, nargs="+", default=[1, 2])
+    verify.add_argument("--n", type=int)
+    verify.add_argument("--seed", type=int)
+    verify.add_argument("--tau", type=float)
+    verify.add_argument("--pairs", type=int)
+    verify.add_argument("--cut-samples", type=int)
+    verify.add_argument("--node-draws", type=int)
+    verify.add_argument("--imbalance-draws", type=int)
+    verify.add_argument("--imbalance-l", type=int)
+    verify.add_argument("--l-grid", type=int, nargs="+")
     return parser
 
 
 def _cmd_gen(args) -> int:
-    if args.figure1:
-        model = figure1_mixture(
-            args.k,
-            fraction_biased=args.fraction_biased,
-            small=args.small,
-            large=args.large,
-            base=args.base,
-        )
-    else:
-        model = constant_gap_mixture(args.k, gamma=args.gap_gamma, base=args.base)
+    given = dict(vars(args))
+    generator = figure1_mixture
+    if "gap_gamma" in given:
+        generator = constant_gap_mixture
+        given["gamma"] = given["gap_gamma"]
+    # a flag the generator takes no parameter for (--small with --gap-gamma) is ignored
+    params = inspect.signature(generator).parameters
+    model = generator(**{name: value for name, value in given.items() if name in params})
     save_model(model, args.out)
     print(f"wrote {args.out}: K={model.k} gamma={divergence(model):.6g}")
     return 0
 
 
 def _cmd_solve(args) -> int:
-    model = load_model(args.model)
-    if divergence(model) == 0.0:
-        raise harness.ValidationError("model has gamma = 0; separation is impossible")
+    model = harness.require_separation(load_model(args.model))
     dataset = sample(model, args.n, args.seed)
     metric = Metric(args.metric)
     result = solve(
@@ -153,9 +153,12 @@ def _cmd_phase(args) -> int:
     return 0
 
 
-def _fmt_case(label: str, parts: list, flags: list) -> str:
-    cond = " and ".join(parts)
-    status = ", ".join(f"{name}={'yes' if ok else 'no'}" for name, ok in flags)
+def _fmt_case(label: str, names: tuple, rk, sat: dict, notes: list) -> str:
+    """One threshold line: each named threshold, a "_kn" one on KN and any
+    other on K, then `notes`, and whether each is met."""
+    units = [name.rsplit("_", 1)[1].upper() for name in names]
+    cond = " and ".join([f"{unit} >= {getattr(rk, name):.6g}" for unit, name in zip(units, names)] + notes)
+    status = ", ".join(f"{unit}={'yes' if sat[name] else 'no'}" for unit, name in zip(units, names))
     return f"  {label:<6} {cond:<58} [{status}]"
 
 
@@ -168,6 +171,8 @@ def _cmd_bounds(args) -> int:
     rk = report.required_k
     sat = report.satisfied
     show = min(len(report.rho3), 8)
+    notes = {"case1": [f"(K >= {rk.case1_k:.6g} implied)"]}
+    cases = list(theory.CASE_NEEDS.items()) + [("rho1", ("rho1_k",))]
     lines = [
         f"bound report  N={report.n}  K={report.k}  gamma={report.gamma:.6g}",
         f"log convention: {report.log_convention}",
@@ -182,12 +187,7 @@ def _cmd_bounds(args) -> int:
         + "  ".join(f"L={l + 1}: {v:.6g}" for l, v in enumerate(report.rho3[:show]))
         + (" ..." if len(report.rho3) > show else ""),
         "required K thresholds:",
-        _fmt_case("case1", [f"KN >= {rk.case1_kn:.6g}", f"(K >= {rk.case1_k:.6g} implied)"],
-                  [("KN", sat["case1_kn"])]),
-        _fmt_case("case2", [f"K >= {rk.case2_k:.6g}", f"KN >= {rk.case2_kn:.6g}"],
-                  [("K", sat["case2_k"]), ("KN", sat["case2_kn"])]),
-        _fmt_case("case3", [f"K >= {rk.case3_k:.6g}"], [("K", sat["case3_k"])]),
-        _fmt_case("rho1", [f"K >= {rk.rho1_k:.6g}"], [("K", sat["rho1_k"])]),
+        *(_fmt_case(label, names, rk, sat, notes.get(label, [])) for label, names in cases),
         f"  active case: {rk.active_case} (effective K >= {rk.active_k_threshold():.6g}; "
         f"satisfied={'true' if sat['active'] else 'false'})",
     ]
@@ -197,26 +197,20 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.model is not None:
-        if args.k is not None:
+    given = {flag: value for flag, value in vars(args).items() if flag != "command"}
+    if "model" in given:
+        if "k" in given:
             raise harness.ValidationError("--k cannot be given with --model: the model file fixes K")
-        model = load_model(args.model)
+        model = load_model(given.pop("model"))
     else:
-        k = 50 if args.k is None else args.k
-        model = figure1_mixture(k) if args.figure1 else constant_gap_mixture(k, gamma=args.gap_gamma)
-    cfg = harness.VerifyConfig(
-        model=model,
-        n=args.n,
-        l_grid=tuple(args.l_grid),
-        tau=args.tau,
-        pairs=args.pairs,
-        cut_samples=args.cut_samples,
-        node_draws=args.node_draws,
-        imbalance_draws=args.imbalance_draws,
-        imbalance_l=args.imbalance_l,
-        seed=args.seed,
-    )
-    report = harness.verify_concentration(cfg)
+        k = given.pop("k", 50)
+        if given.pop("figure1", False):
+            model = figure1_mixture(k)
+        else:
+            model = constant_gap_mixture(k, gamma=given.pop("gap_gamma"))
+    if "l_grid" in given:
+        given["l_grid"] = tuple(given["l_grid"])
+    report = harness.verify_concentration(harness.VerifyConfig(model=model, **given))
     print(harness.format_report(report))
     return 0 if report.all_passed() else 3
 

@@ -32,12 +32,14 @@ counts whole and reduce their float deviations block by block.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import inspect
 import json
 import math
 import os
 import threading
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,11 +54,12 @@ from .model import (
     derive_seed,
     divergence,
     figure1_mixture,
+    is_json_number,
     load_model,
     philox,
     sample,
 )
-from .solvers import DEFAULT_ENUMERATION_CAP, METHODS, EnumerationCapError, judge, solve
+from .solvers import DEFAULT_ENUMERATION_CAP, DEFAULT_RESTARTS, METHODS, EnumerationCapError, judge, solve
 from .theory import bad_node_threshold_k, delta, is_bad_node, required_k, rho2_standin
 
 __all__ = [
@@ -69,6 +72,7 @@ __all__ = [
     "ConcentrationReport",
     "PHASE_CSV_HEADER",
     "resolve_model",
+    "require_separation",
     "run_trial",
     "run_cell",
     "phase_diagram",
@@ -78,13 +82,25 @@ __all__ = [
     "worker_count",
 ]
 
-PHASE_CSV_HEADER = (
-    "N,K,gamma,method,metric,trials,successes,success_rate,mean_L,"
-    "required_K_case,required_K_value,seed"
+# The phase CSV's columns, in order: each one's name, the type it is read
+# back as, and the `CellAggregate` attribute it is written from.  A float is
+# written to 6 significant digits, any other value as `str` gives it.
+_PHASE_CSV_COLUMNS = (
+    ("N", int, "n"),
+    ("K", int, "k"),
+    ("gamma", float, "gamma"),
+    ("method", str, "method"),
+    ("metric", str, "metric"),
+    ("trials", int, "trials"),
+    ("successes", int, "successes"),
+    ("success_rate", float, "success_rate"),
+    ("mean_L", float, "mean_l"),
+    ("required_K_case", str, "required_k_case"),
+    ("required_K_value", float, "required_k_value"),
+    ("seed", int, "seed"),
 )
+PHASE_CSV_HEADER = ",".join(name for name, _, _ in _PHASE_CSV_COLUMNS)
 
-_REQUIRED_KEYS = ("model", "n_values", "k_values", "trials", "method", "metric", "seed", "output")
-_CONFIG_KEYS = _REQUIRED_KEYS + ("restarts", "first_improvement", "cap_nodes")
 _MODEL_GENERATORS = {"figure1": figure1_mixture, "constant_gap": constant_gap_mixture}
 
 
@@ -92,28 +108,37 @@ class ValidationError(ValueError):
     """Config or model fails a precondition (distinct from usage errors)."""
 
 
-def _json_int(key: str, value) -> int:
-    """`value` if it is a JSON integer (not a bool, float or string)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"config key {key!r} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _json_ints(key: str, values) -> tuple:
-    if not isinstance(values, list):
-        raise ValidationError(f"config key {key!r} must be a JSON list of integers, got {values!r}")
-    return tuple(_json_int(key, v) for v in values)
-
-
-def _json_str(key: str, value) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"config key {key!r} must be a JSON string, got {value!r}")
+def _json_field(key: str, kind: type, value):
+    """`value` if it is the JSON form of the config field type `kind`: an
+    object for dict, a string for str, true or false for bool, an integer
+    (not a bool, float or string) for int, a list of integers for tuple."""
+    if kind is tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"config key {key!r} must be a JSON list of integers, got {value!r}")
+        return tuple(_json_field(key, int, v) for v in value)
+    ok, form = {
+        dict: (isinstance(value, dict), "a JSON object"),
+        str: (isinstance(value, str), "a JSON string"),
+        bool: (isinstance(value, bool), "true or false"),
+        int: (is_json_number(value) and isinstance(value, int), "a JSON integer"),
+    }[kind]
+    if not ok:
+        raise ValidationError(f"config key {key!r} must be {form}, got {value!r}")
     return value
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model_source: dict
+    """One sweep, as a config file's JSON object states it.
+
+    The config keys are this class's fields, in order, each under its own
+    name except `model_source`, whose key is "model".  A field with no
+    default is a required key; an absent optional key takes the field's
+    default.  Each value must be the JSON form of its field's type
+    (`_json_field`); `validate` checks the ranges.
+    """
+
+    model_source: dict = field(metadata={"key": "model"})
     n_values: tuple
     k_values: tuple
     trials: int
@@ -121,7 +146,7 @@ class ExperimentConfig:
     metric: str
     seed: int
     output: str
-    restarts: int = 8
+    restarts: int = DEFAULT_RESTARTS
     first_improvement: bool = False
     cap_nodes: int = DEFAULT_ENUMERATION_CAP
 
@@ -129,35 +154,21 @@ class ExperimentConfig:
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         if not isinstance(payload, dict):
             raise ValidationError(f"a config must be a JSON object, got {payload!r}")
-        unknown = sorted(set(payload) - set(_CONFIG_KEYS))
+        types = typing.get_type_hints(cls)
+        fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(payload) - set(fields))
         if unknown:
             raise ValidationError(
                 f"unknown config key(s) {', '.join(map(repr, unknown))}; "
-                f"expected keys: {', '.join(_CONFIG_KEYS)}"
+                f"expected keys: {', '.join(fields)}"
             )
-        missing = [key for key in _REQUIRED_KEYS if key not in payload]
+        missing = [key for key, f in fields.items() if f.default is dataclasses.MISSING and key not in payload]
         if missing:
             raise ValidationError(f"missing config key(s) {', '.join(map(repr, missing))}")
-        if not isinstance(payload["model"], dict):
-            raise ValidationError(f"config key 'model' must be a JSON object, got {payload['model']!r}")
-        first_improvement = payload.get("first_improvement", False)
-        if not isinstance(first_improvement, bool):
-            raise ValidationError(
-                f"config key 'first_improvement' must be true or false, got {first_improvement!r}"
-            )
-        return cls(
-            model_source=payload["model"],
-            n_values=_json_ints("n_values", payload["n_values"]),
-            k_values=_json_ints("k_values", payload["k_values"]),
-            trials=_json_int("trials", payload["trials"]),
-            method=_json_str("method", payload["method"]),
-            metric=_json_str("metric", payload["metric"]),
-            seed=_json_int("seed", payload["seed"]),
-            output=_json_str("output", payload["output"]),
-            restarts=_json_int("restarts", payload.get("restarts", 8)),
-            first_improvement=first_improvement,
-            cap_nodes=_json_int("cap_nodes", payload.get("cap_nodes", DEFAULT_ENUMERATION_CAP)),
-        )
+        return cls(**{
+            f.name: _json_field(key, types[f.name], payload[key])
+            for key, f in fields.items() if key in payload
+        })
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -218,6 +229,10 @@ class CellAggregate:
     required_k_value: float
     seed: int
 
+    @property
+    def success_rate(self) -> float:
+        return self.successes / self.trials
+
 
 def resolve_model(model_source: dict, k: int) -> MixtureModel:
     """Instantiate the configured model at dimension count k.
@@ -257,13 +272,13 @@ def resolve_model(model_source: dict, k: int) -> MixtureModel:
     except TypeError as exc:
         raise ValidationError(f"model key {source!r}: {exc}") from None
     for name, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not is_json_number(value):
             raise ValidationError(f"model parameter {source}.{name} must be a JSON number, got {value!r}")
     return generator(k, **params)
 
 
-def _checked_model(model_source: dict, k: int) -> MixtureModel:
-    model = resolve_model(model_source, k)
+def require_separation(model: MixtureModel) -> MixtureModel:
+    """`model`, refused when its centers coincide (gamma = 0)."""
     if divergence(model) == 0.0:
         raise ValidationError("model has gamma = 0; separation is impossible")
     return model
@@ -298,7 +313,7 @@ def run_trial(config: ExperimentConfig, model: MixtureModel, n: int, k: int, tri
 def run_cell(config: ExperimentConfig, n: int, k: int):
     """All trial records for one (N, K) cell, in trial order."""
     config.validate()
-    model = _checked_model(config.model_source, k)
+    model = require_separation(resolve_model(config.model_source, k))
     return [run_trial(config, model, n, k, t) for t in range(config.trials)]
 
 
@@ -330,31 +345,32 @@ def _aggregate(config: ExperimentConfig, n: int, k: int, records) -> CellAggrega
     )
 
 
-def _g6(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def phase_diagram(config: ExperimentConfig):
     """Run the full (N, K) sweep and emit one aggregate CSV row per cell.
 
     Resolves each K's model once, then runs every cell's trials serially on
     the calling thread, in (N, K, trial) order.  Returns the list of
-    CellAggregate rows (the CSV is written to config.output).
+    CellAggregate rows (the CSV is written to config.output).  An output
+    whose directory is missing is refused before any model is built.
     """
     config.validate()
-    models = {k: _checked_model(config.model_source, k) for k in set(config.k_values)}
+    folder = os.path.dirname(os.path.realpath(config.output))
+    if not os.path.isdir(folder):
+        raise ValidationError(f"output {config.output}: directory {folder} does not exist")
+    models = {k: require_separation(resolve_model(config.model_source, k)) for k in set(config.k_values)}
     aggregates = []
     for n in config.n_values:
         for k in config.k_values:
             records = [run_trial(config, models[k], n, k, t) for t in range(config.trials)]
             aggregates.append(_aggregate(config, n, k, records))
-    text = PHASE_CSV_HEADER + "\n" + "".join(
-        f"{a.n},{a.k},{_g6(a.gamma)},{a.method},{a.metric},{a.trials},"
-        f"{a.successes},{_g6(a.successes / a.trials)},{_g6(a.mean_l)},"
-        f"{a.required_k_case},{_g6(a.required_k_value)},{a.seed}\n"
+    lines = [PHASE_CSV_HEADER] + [
+        ",".join(
+            f"{getattr(a, attr):.6g}" if kind is float else str(getattr(a, attr))
+            for _, kind, attr in _PHASE_CSV_COLUMNS
+        )
         for a in aggregates
-    )
-    _write_replacing(config.output, text)
+    ]
+    _write_replacing(config.output, "\n".join(lines) + "\n")
     return aggregates
 
 
@@ -381,30 +397,15 @@ def _write_replacing(path: str, text: str) -> None:
 
 
 def read_phase_csv(path: str):
-    """Parse an emitted phase CSV back into typed row dicts."""
-    rows = []
+    """Parse an emitted phase CSV back into row dicts keyed by column name,
+    each value read as its column's type in `_PHASE_CSV_COLUMNS`.  A header
+    other than `PHASE_CSV_HEADER`, columns reordered included, raises
+    ValueError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != PHASE_CSV_HEADER.split(","):
             raise ValueError("unexpected phase CSV header")
-        for row in reader:
-            rows.append(
-                {
-                    "N": int(row["N"]),
-                    "K": int(row["K"]),
-                    "gamma": float(row["gamma"]),
-                    "method": row["method"],
-                    "metric": row["metric"],
-                    "trials": int(row["trials"]),
-                    "successes": int(row["successes"]),
-                    "success_rate": float(row["success_rate"]),
-                    "mean_L": float(row["mean_L"]),
-                    "required_K_case": row["required_K_case"],
-                    "required_K_value": float(row["required_K_value"]),
-                    "seed": int(row["seed"]),
-                }
-            )
-    return rows
+        return [{name: kind(row[name]) for name, kind, _ in _PHASE_CSV_COLUMNS} for row in reader]
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ __all__ = [
     "constant_gap_mixture",
     "save_model",
     "load_model",
+    "is_json_number",
     "derive_seed",
     "philox",
     "bernoulli_thresholds",
@@ -229,11 +230,19 @@ def save_model(model: MixtureModel, path: str) -> None:
 _MODEL_KEYS = ("p1", "p2")
 
 
+def is_json_number(value) -> bool:
+    """True iff `value`, as `json.load` gives it, is a JSON number: an int
+    or a float, and not a bool (which Python counts as an int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_model(path: str) -> MixtureModel:
     """The model saved at `path` by `save_model`: a JSON object with exactly
-    the keys p1 and p2.  Any other shape, a missing key or an unknown key
-    raises ValueError naming the file and the key; a center entry that is
-    NaN, infinite or outside [0, 1], one naming the file and the entry."""
+    the keys p1 and p2, each a JSON list of JSON numbers.  Any other shape,
+    a missing key or an unknown key raises ValueError naming the file and
+    the key; a center that is not a list, or a center entry that is not a
+    JSON number (an object, string, bool or list) or is NaN, infinite or
+    outside [0, 1], one naming the file and the entry."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -247,6 +256,13 @@ def load_model(path: str) -> MixtureModel:
     missing = [key for key in _MODEL_KEYS if key not in payload]
     if missing:
         raise ValueError(f"model file {path}: missing key(s) {', '.join(map(repr, missing))}")
+    for key in _MODEL_KEYS:
+        center = payload[key]
+        if not isinstance(center, list):
+            raise ValueError(f"model file {path}: {key} must be a JSON list of numbers, got {center!r}")
+        for i, entry in enumerate(center):
+            if not is_json_number(entry):
+                raise ValueError(f"model file {path}: {key}[{i}] = {entry!r} is not a JSON number")
     try:
         return MixtureModel(p1=payload["p1"], p2=payload["p2"])
     except ValueError as exc:

@@ -52,6 +52,7 @@ __all__ = [
     "EnumerationCapError",
     "DegenerateInstanceError",
     "DEFAULT_ENUMERATION_CAP",
+    "DEFAULT_RESTARTS",
     "solve_exact",
     "solve_hillclimb",
     "solve_spectral",
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 24
+DEFAULT_RESTARTS = 8
 METHODS = ("exact", "hillclimb", "spectral")
 
 
@@ -120,7 +122,7 @@ def _random_balanced_membership(n_nodes: int, rng: np.random.Generator) -> np.nd
 
 def solve_hillclimb(
     graph: CutGraph,
-    restarts: int = 8,
+    restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     first_improvement: bool = False,
 ) -> SolveResult:

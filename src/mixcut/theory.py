@@ -39,6 +39,7 @@ __all__ = [
     "CASE3_K_COEFF",
     "RHO1_K_COEFF",
     "BAD_NODE_K_COEFF",
+    "CASE_NEEDS",
     "RequiredK",
     "BoundReport",
     "delta",
@@ -61,6 +62,15 @@ CASE2_KN_COEFF = 2000
 CASE3_K_COEFF = 188
 RHO1_K_COEFF = 256
 BAD_NODE_K_COEFF = 8
+
+# What each regime case requires besides the rho1 prerequisite rho1_k: the
+# RequiredK thresholds it must meet, in order.  A name ending in "_kn" bounds
+# K N, any other bounds K.  A pair no case covers ("none") meets no case.
+CASE_NEEDS = {
+    "case1": ("case1_kn",),
+    "case2": ("case2_k", "case2_kn"),
+    "case3": ("case3_k",),
+}
 
 _LN2 = math.log(2.0)
 
@@ -93,7 +103,8 @@ class RequiredK:
     when N is large enough that its own K = 188 ln N / gamma satisfies
     N >= K loglog N / 20, "case2" for the band in between, and "none" when
     the summary cases do not cover (N, gamma) (possible for 4 <= N < 16 at
-    small gamma).
+    small gamma).  `CASE_NEEDS` says which thresholds each case requires;
+    `active_k_threshold` and `failure_budget`'s flags both read it.
     """
 
     n: int
@@ -108,15 +119,13 @@ class RequiredK:
     active_case: str
 
     def active_k_threshold(self) -> float:
-        """Effective minimum K of the active case (rho1 prerequisite when
-        no case covers the pair)."""
-        if self.active_case == "case1":
-            return self.case1_kn / self.n
-        if self.active_case == "case2":
-            return max(self.case2_k, self.case2_kn / self.n)
-        if self.active_case == "case3":
-            return self.case3_k
-        return self.rho1_k
+        """Effective minimum K of the active case: the largest K its
+        `CASE_NEEDS` thresholds ask for, a KN threshold divided by N (the
+        rho1 prerequisite when no case covers the pair)."""
+        if self.active_case not in CASE_NEEDS:
+            return self.rho1_k
+        return max(getattr(self, name) / (self.n if name.endswith("_kn") else 1)
+                   for name in CASE_NEEDS[self.active_case])
 
 
 def required_k(n: int, gamma: float) -> RequiredK:
@@ -221,20 +230,11 @@ def failure_budget(n: int, k: int, gamma: float) -> BoundReport:
     total = rho1 + rho2_term + rho3_sum
 
     satisfied = {
-        "rho1_k": k >= rk.rho1_k,
-        "case1_kn": k * n >= rk.case1_kn,
-        "case2_k": k >= rk.case2_k,
-        "case2_kn": k * n >= rk.case2_kn,
-        "case3_k": k >= rk.case3_k,
+        name: (k * n if name.endswith("_kn") else k) >= getattr(rk, name)
+        for name in ("rho1_k",) + sum(CASE_NEEDS.values(), ())
     }
-    if rk.active_case == "case1":
-        satisfied["active"] = satisfied["rho1_k"] and satisfied["case1_kn"]
-    elif rk.active_case == "case2":
-        satisfied["active"] = satisfied["rho1_k"] and satisfied["case2_k"] and satisfied["case2_kn"]
-    elif rk.active_case == "case3":
-        satisfied["active"] = satisfied["rho1_k"] and satisfied["case3_k"]
-    else:
-        satisfied["active"] = False
+    needs = CASE_NEEDS.get(rk.active_case)
+    satisfied["active"] = needs is not None and satisfied["rho1_k"] and all(satisfied[name] for name in needs)
 
     return BoundReport(
         n=n,

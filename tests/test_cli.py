@@ -9,7 +9,7 @@ import pytest
 import mixcut
 from mixcut import cli, graph, harness, solvers
 from mixcut.cli import main
-from mixcut.model import divergence, load_model
+from mixcut.model import constant_gap_mixture, divergence, figure1_mixture, load_model, save_model
 
 
 # the directory holding the imported package, put first on a child's path
@@ -39,6 +39,39 @@ def test_gen_constant_gap_model(tmp_path, capsys):
     assert code == 0
     model = load_model(str(out))
     assert divergence(model) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("flags, generator", [
+    (("--figure1",), lambda k: figure1_mixture(k)),
+    (("--gap-gamma", "0.1"), lambda k: constant_gap_mixture(k, 0.1)),
+])
+def test_gen_writes_the_generator_defaults(tmp_path, capsys, flags, generator):
+    out, expected = tmp_path / "m.json", tmp_path / "expected.json"
+    assert run_cli(capsys, "gen", *flags, "--k", "10", "--out", str(out))[0] == 0
+    save_model(generator(10), str(expected))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "phase", "bounds", "verify"])
+def test_every_subcommand_help_exits_0(capsys, command):
+    code, stdout, _ = run_cli(capsys, command, "--help")
+    assert code == 0 and stdout.startswith(f"usage: mixcut {command}")
+
+
+def test_solve_hillclimb_runs_the_default_restart_count(tmp_path, capsys, monkeypatch):
+    seen = []
+    original = solvers.solve_hillclimb
+
+    def recording(graph, restarts, **kwargs):
+        seen.append(restarts)
+        return original(graph, restarts, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_hillclimb", recording)
+    out = tmp_path / "m.json"
+    run_cli(capsys, "gen", "--gap-gamma", "0.25", "--k", "40", "--out", str(out))
+    assert run_cli(capsys, "solve", "--model", str(out), "--n", "5", "--seed", "11",
+                   "--method", "hillclimb")[0] == 0
+    assert seen == [solvers.DEFAULT_RESTARTS]
 
 
 def test_solve_reports_success_on_separated_model(tmp_path, capsys):
@@ -211,6 +244,23 @@ def test_phase_bad_config_value_is_refused_before_any_trial(tmp_path, capsys, mo
     assert not (tmp_path / "phase.csv").exists() and not (tmp_path / "7").exists()
 
 
+def test_phase_output_in_a_missing_directory_is_refused_before_any_trial(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", never)
+    output = tmp_path / "missing" / "phase.csv"
+    config = {
+        "model": {"constant_gap": {"gamma": 0.25}}, "n_values": [4], "k_values": [10], "trials": 2,
+        "method": "exact", "metric": "hamming", "seed": 5, "output": str(output),
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, stderr = run_cli(capsys, "phase", "--config", str(cfg_path))
+    assert code == 2 and f"refused: output {output}:" in stderr and ".tmp" not in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+
 def test_phase_config_missing_a_required_key_is_refused_by_name(tmp_path, capsys):
     config = {
         "model": {"constant_gap": {"gamma": 0.25}},
@@ -354,6 +404,18 @@ def test_verify_refuses_an_out_of_range_size(capsys, flag, value):
     assert "refused:" in stderr and flag[2:].replace("-", "_") in stderr
 
 
+def test_verify_hands_over_the_verify_config_defaults(capsys, monkeypatch):
+    seen = []
+
+    def recording(cfg):
+        seen.append(cfg)
+        return harness.ConcentrationReport(k=cfg.model.k, gamma=0.2, n=cfg.n, checks=())
+
+    monkeypatch.setattr(harness, "verify_concentration", recording)
+    assert run_cli(capsys, "verify", "--gap-gamma", "0.2", "--k", "200", "--seed", "3")[0] == 0
+    assert seen == [harness.VerifyConfig(model=constant_gap_mixture(200, 0.2), seed=3)]
+
+
 def test_verify_refuses_k_with_model(tmp_path, capsys):
     out = tmp_path / "m.json"
     run_cli(capsys, "gen", "--gap-gamma", "0.2", "--k", "30", "--out", str(out))
@@ -367,6 +429,20 @@ def test_verify_refuses_k_with_model(tmp_path, capsys):
     assert code == 0 and stdout.startswith("concentration checks: K=50 ")
 
 
+def _model_file_argv(tmp_path, command, model_path):
+    """argv of `command` reading the model file at `model_path`."""
+    if command == "verify":
+        return ("verify", "--model", str(model_path), "--pairs", "200", "--cut-samples", "200")
+    if command == "solve":
+        return ("solve", "--model", str(model_path), "--n", "4", "--seed", "1", "--method", "exact")
+    config = {
+        "model": {"file": str(model_path)}, "n_values": [4], "k_values": [10], "trials": 2,
+        "method": "exact", "metric": "hamming", "seed": 5, "output": str(tmp_path / "phase.csv"),
+    }
+    (tmp_path / "sweep.json").write_text(json.dumps(config))
+    return ("phase", "--config", str(tmp_path / "sweep.json"))
+
+
 @pytest.mark.parametrize("payload, named", [
     ({"p1": [0.7] * 10, "p2": [0.3] * 10, "p3": [1]}, "unknown key(s) 'p3'"),
     ({"p1": [0.7] * 10}, "missing key(s) 'p2'"),
@@ -376,18 +452,24 @@ def test_verify_refuses_k_with_model(tmp_path, capsys):
 def test_a_model_file_with_an_unknown_or_missing_key_is_exit_2(tmp_path, capsys, command, payload, named):
     model_path = tmp_path / "m.json"
     model_path.write_text(json.dumps(payload))
-    if command == "verify":
-        argv = ("verify", "--model", str(model_path), "--pairs", "200", "--cut-samples", "200")
-    elif command == "solve":
-        argv = ("solve", "--model", str(model_path), "--n", "4", "--seed", "1", "--method", "exact")
-    else:
-        config = {
-            "model": {"file": str(model_path)}, "n_values": [4], "k_values": [10], "trials": 2,
-            "method": "exact", "metric": "hamming", "seed": 5, "output": str(tmp_path / "phase.csv"),
-        }
-        (tmp_path / "sweep.json").write_text(json.dumps(config))
-        argv = ("phase", "--config", str(tmp_path / "sweep.json"))
-    code, stdout, stderr = run_cli(capsys, *argv)
+    code, stdout, stderr = run_cli(capsys, *_model_file_argv(tmp_path, command, model_path))
+    assert code == 2 and stdout == ""
+    assert named in stderr and str(model_path) in stderr
+    assert not (tmp_path / "phase.csv").exists()
+
+
+@pytest.mark.parametrize("payload, named", [
+    ({"p1": {"a": 1}, "p2": [0.5]}, "p1 must be a JSON list of numbers, got {'a': 1}"),
+    ({"p1": [0.9] * 10, "p2": "0.1"}, "p2 must be a JSON list of numbers"),
+    ({"p1": ["0.9"] + [0.9] * 9, "p2": [0.1] * 10}, "p1[0] = '0.9' is not a JSON number"),
+    ({"p1": [0.9] * 10, "p2": [0.1] * 9 + [False]}, "p2[9] = False is not a JSON number"),
+    ({"p1": [0.9, [0.9]] + [0.9] * 8, "p2": [0.1] * 10}, "p1[1] = [0.9] is not a JSON number"),
+], ids=["object", "string", "string-entry", "bool-entry", "list-entry"])
+@pytest.mark.parametrize("command", ["verify", "solve", "phase"])
+def test_a_model_file_center_that_is_not_a_list_of_numbers_is_exit_2(tmp_path, capsys, command, payload, named):
+    model_path = tmp_path / "m.json"
+    model_path.write_text(json.dumps(payload))
+    code, stdout, stderr = run_cli(capsys, *_model_file_argv(tmp_path, command, model_path))
     assert code == 2 and stdout == ""
     assert named in stderr and str(model_path) in stderr
     assert not (tmp_path / "phase.csv").exists()

@@ -218,6 +218,22 @@ def test_phase_diagram_round_trip(tmp_path):
         assert row["method"] == "exact" and row["metric"] == "hamming"
 
 
+def test_read_phase_csv_refuses_a_header_with_two_columns_swapped(tmp_path):
+    config = make_config(tmp_path, trials=2)
+    phase_diagram(config)
+    text = (tmp_path / "phase.csv").read_text(encoding="utf-8")
+    swapped = text.replace("N,K,", "K,N,", 1)
+    assert swapped != text
+    (tmp_path / "phase.csv").write_text(swapped, encoding="utf-8")
+    with pytest.raises(ValueError, match="unexpected phase CSV header"):
+        read_phase_csv(config.output)
+
+
+def test_phase_diagram_writes_to_the_null_device(tmp_path):
+    assert len(phase_diagram(make_config(tmp_path, trials=2, output=os.devnull))) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_phase_diagram_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
     # MIXCUT_THREADS is not read: any value, valid or not, runs one worker
     config = make_config(tmp_path, k_values=[10, 20], trials=12)
