@@ -11,20 +11,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import sys
 
 from . import harness, theory
 from .graph import Metric
-from .model import (
-    constant_gap_mixture,
-    divergence,
-    figure1_mixture,
-    load_model,
-    sample,
-    save_model,
-)
+from .model import divergence, load_model, sample, save_model
 from .solvers import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_RESTARTS,
@@ -36,6 +28,9 @@ from .solvers import (
 )
 
 _REFUSALS = (EnumerationCapError, DegenerateInstanceError, harness.ValidationError)
+
+# K of the model `mixcut verify --gap-gamma` or `--figure1` checks when --k is not given
+_VERIFY_K = 50
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +46,8 @@ def _build_parser() -> "_Parser":
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     # gen and verify leave out every flag not given (argparse.SUPPRESS), so
-    # the generators' signatures and VerifyConfig own their defaults
+    # the generators' signatures and VerifyConfig own their defaults, and a
+    # generator flag given reaches `harness.resolve_model` as a parameter
     gen = sub.add_parser("gen", help="emit a mixture model JSON file", argument_default=argparse.SUPPRESS)
     gen.add_argument("--out", required=True)
     gen.add_argument("--k", type=int, required=True)
@@ -91,7 +87,7 @@ def _build_parser() -> "_Parser":
     src.add_argument("--gap-gamma", type=float)
     src.add_argument("--figure1", action="store_true")
     verify.add_argument("--k", type=int,
-                        help="dimension count of --gap-gamma or --figure1 (default 50); "
+                        help=f"dimension count of --gap-gamma or --figure1 (default {_VERIFY_K}); "
                              "refused with --model, whose file fixes K")
     verify.add_argument("--n", type=int)
     verify.add_argument("--seed", type=int)
@@ -105,15 +101,19 @@ def _build_parser() -> "_Parser":
     return parser
 
 
+def _model_source(flags: dict) -> dict:
+    """The `harness.resolve_model` source that --figure1 or --gap-gamma in
+    `flags` names, with the rest of `flags` as the generator's parameters,
+    so one that the generator does not take is refused by name."""
+    params = dict(flags)
+    if params.pop("figure1", False):
+        return {"figure1": params}
+    return {"constant_gap": {"gamma": params.pop("gap_gamma"), **params}}
+
+
 def _cmd_gen(args) -> int:
-    given = dict(vars(args))
-    generator = figure1_mixture
-    if "gap_gamma" in given:
-        generator = constant_gap_mixture
-        given["gamma"] = given["gap_gamma"]
-    # a flag the generator takes no parameter for (--small with --gap-gamma) is ignored
-    params = inspect.signature(generator).parameters
-    model = generator(**{name: value for name, value in given.items() if name in params})
+    flags = {flag: value for flag, value in vars(args).items() if flag not in ("command", "out", "k")}
+    model = harness.resolve_model(_model_source(flags), args.k)
     save_model(model, args.out)
     print(f"wrote {args.out}: K={model.k} gamma={divergence(model):.6g}")
     return 0
@@ -203,11 +203,8 @@ def _cmd_verify(args) -> int:
             raise harness.ValidationError("--k cannot be given with --model: the model file fixes K")
         model = load_model(given.pop("model"))
     else:
-        k = given.pop("k", 50)
-        if given.pop("figure1", False):
-            model = figure1_mixture(k)
-        else:
-            model = constant_gap_mixture(k, gamma=given.pop("gap_gamma"))
+        flags = {flag: given.pop(flag) for flag in ("figure1", "gap_gamma") if flag in given}
+        model = harness.resolve_model(_model_source(flags), given.pop("k", _VERIFY_K))
     if "l_grid" in given:
         given["l_grid"] = tuple(given["l_grid"])
     report = harness.verify_concentration(harness.VerifyConfig(model=model, **given))

@@ -19,10 +19,11 @@ of datasets, `theory.bad_node_threshold_k` and `theory.rho2_standin`.  Each
 check draws its samples through `_draw_reduced`: the sample axis is split
 into one contiguous stretch per available CPU, each stretch drawn on its
 own thread in blocks of about `model.BLOCK_VALUES` raw Philox words, each
-word decided against `model.bernoulli_thresholds`, and every block reduced
-to per-sample values at once, so only those values are kept whole.  Philox is
-counter-based, so each stretch starts at its own offset of the check's one
-stream and reads the same words as one draw of the whole sample array.
+block decided by one call of `model.bernoulli_rows` (the loop that
+`model.sample` draws with) and reduced to per-sample values at once, so
+only those values are kept whole.  Philox is counter-based, so each
+stretch starts at its own offset of the check's one stream and reads the
+same words as one draw of the whole sample array.
 Every per-sample value depends on that sample's bits alone, so the reports
 equal those of drawing everything at once, on any number of cores or BLAS
 threads.  The two swap-imbalance checks keep only the small integer column
@@ -48,7 +49,7 @@ from .graph import Metric, diff_node, score_cut_weight
 from .model import (
     BLOCK_VALUES,
     MixtureModel,
-    bernoulli_bits,
+    bernoulli_rows,
     bernoulli_thresholds,
     constant_gap_mixture,
     derive_seed,
@@ -58,8 +59,9 @@ from .model import (
     load_model,
     philox,
     sample,
+    write_replacing,
 )
-from .solvers import DEFAULT_ENUMERATION_CAP, DEFAULT_RESTARTS, METHODS, EnumerationCapError, judge, solve
+from .solvers import DEFAULT_ENUMERATION_CAP, DEFAULT_RESTARTS, METHODS, judge, require_within_cap, solve
 from .theory import bad_node_threshold_k, delta, is_bad_node, required_k, rho2_standin
 
 __all__ = [
@@ -191,12 +193,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
         if self.method == "exact":
-            worst = 2 * max(self.n_values)
-            if worst > self.cap_nodes:
-                raise EnumerationCapError(
-                    f"exact cells reach {worst} nodes, above the cap of "
-                    f"{self.cap_nodes} nodes"
-                )
+            require_within_cap(2 * max(self.n_values), self.cap_nodes)
 
 
 @dataclass(frozen=True)
@@ -350,13 +347,16 @@ def phase_diagram(config: ExperimentConfig):
 
     Resolves each K's model once, then runs every cell's trials serially on
     the calling thread, in (N, K, trial) order.  Returns the list of
-    CellAggregate rows (the CSV is written to config.output).  An output
-    whose directory is missing is refused before any model is built.
+    CellAggregate rows (the CSV is written to config.output by
+    `model.write_replacing`).  An output that is a directory, or whose
+    directory is missing, is refused before any model is built.
     """
     config.validate()
     folder = os.path.dirname(os.path.realpath(config.output))
     if not os.path.isdir(folder):
         raise ValidationError(f"output {config.output}: directory {folder} does not exist")
+    if os.path.isdir(config.output):
+        raise ValidationError(f"output {config.output}: is a directory")
     models = {k: require_separation(resolve_model(config.model_source, k)) for k in set(config.k_values)}
     aggregates = []
     for n in config.n_values:
@@ -370,30 +370,8 @@ def phase_diagram(config: ExperimentConfig):
         )
         for a in aggregates
     ]
-    _write_replacing(config.output, "\n".join(lines) + "\n")
+    write_replacing(config.output, "\n".join(lines) + "\n")
     return aggregates
-
-
-def _write_replacing(path: str, text: str) -> None:
-    """Write `text` to a new file beside `path`, then rename it onto `path`,
-    so an existing output is replaced whole and never truncated in place.
-    A symlinked output is replaced at its target; paths that exist but are
-    not regular files (e.g. os.devnull) are written directly."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        return
-    folder, name = os.path.split(os.path.realpath(path))
-    tmp = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
-    # O_EXCL never clobbers another file; mode 0o666 under the umask, as open()
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, os.path.join(folder, name))
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def read_phase_csv(path: str):
@@ -495,14 +473,14 @@ def _draw_reduced(rng, m: int, p: np.ndarray, reduce) -> np.ndarray:
     counter-based, so each stretch reads its words from its own bit
     generator placed at its first word (`_philox_at`), with no walk through
     the words before it.  A stretch draws its rows in blocks of about
-    `BLOCK_VALUES` words, decides them into a bool buffer of its own,
-    releases the block's words before drawing the next, and writes the
-    reduced values into the shared result.  So the bits equal
-    `rng.random((m,) + p.shape) < p` for any number of stretches, and `rng`
-    ends in the state that one such call leaves.  The values equal `reduce`
-    of those bits whenever `reduce` gives each sample a value from that
-    sample's bits alone, as every check's reduction does.  An exception
-    raised in any stretch is raised here once all have ended.
+    `BLOCK_VALUES` words, one `bernoulli_rows` call each, into a bool
+    buffer of its own, and writes the reduced values into the shared
+    result.  So the bits equal `rng.random((m,) + p.shape) < p` for any
+    number of stretches, and `rng` ends in the state that one such call
+    leaves.  The values equal `reduce` of those bits whenever `reduce`
+    gives each sample a value from that sample's bits alone, as every
+    check's reduction does.  An exception raised in any stretch is raised
+    here once all have ended.
     """
     per = max(1, BLOCK_VALUES // p.size)
     stretches = min(_cpu_count(), m)
@@ -513,11 +491,7 @@ def _draw_reduced(rng, m: int, p: np.ndarray, reduce) -> np.ndarray:
         bit_generator = _philox_at(rng, lo * p.size).bit_generator
         bits = np.empty((min(per, hi - lo),) + p.shape, dtype=bool)
         for start in range(lo, hi, per):
-            r = min(per, hi - start)
-            words = bit_generator.random_raw(r * p.size).reshape(bits[:r].shape)
-            bernoulli_bits(words, thresholds, out=bits[:r])
-            del words
-            yield start, reduce(bits[:r])
+            yield start, reduce(bernoulli_rows(bit_generator, thresholds, bits[:min(per, hi - start)]))
 
     first = blocks(bounds[0], bounds[1])
     _, block = next(first)
@@ -710,9 +684,7 @@ def _check_delta_event_rate(cfg: VerifyConfig) -> CheckResult:
 
 def verify_concentration(cfg: VerifyConfig) -> ConcentrationReport:
     """Run the five named concentration checks against the configured model."""
-    gamma = divergence(cfg.model)
-    if gamma == 0.0:
-        raise ValidationError("verification needs gamma > 0")
+    gamma = divergence(require_separation(cfg.model))
     if cfg.n < 4:
         raise ValidationError("verification needs N >= 4 (deviation budget)")
     if not 0.0 < cfg.tau < 1.0:

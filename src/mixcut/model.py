@@ -19,18 +19,25 @@ so that uniform is below p exactly when (w >> 11) < ceil(p * 2**53).
 `bernoulli_thresholds` makes those integer thresholds and `bernoulli_bits`
 applies them; a word array gives the same bits as `random() < p` over the
 same words, for every p in [0, 1], and leaves the generator in the same
-state.
+state.  `bernoulli_rows` is the one loop that draws rows of words and
+decides them: `sample` calls it for the rows of each center, and each block
+of a concentration check's draw (`harness._draw_reduced`) is one call.
 
 Work over a whole sample is done in blocks of about `BLOCK_VALUES` values,
 so no copy of a sample at a wider type than its uint8 bits is ever made
-whole: `sample` draws its words in row blocks, `graph.exact_gram`
-multiplies float32 blocks of the bits, and the concentration checks draw
-and reduce their samples in blocks.
+whole: `bernoulli_rows` draws its words in row blocks, `graph.exact_gram`
+multiplies float32 blocks of the bits, and the concentration checks reduce
+their samples block by block.
+
+`save_model` writes through `write_replacing`, the one writer of the
+package's output files, which the phase CSV also goes through.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +50,14 @@ __all__ = [
     "figure1_mixture",
     "constant_gap_mixture",
     "save_model",
+    "write_replacing",
     "load_model",
     "is_json_number",
     "derive_seed",
     "philox",
     "bernoulli_thresholds",
     "bernoulli_bits",
+    "bernoulli_rows",
     "BLOCK_VALUES",
 ]
 
@@ -163,24 +172,15 @@ def sample(model: MixtureModel, n_per_side: int, seed: int) -> Dataset:
 
     Bit [i, k] is decided by raw word [i, k] of the C-order stream of
     2N x K words from `philox(seed)`, against the model's `thresholds`, so
-    it equals `philox(seed).random((2N, K))[i, k] < pt^k`.  The words are
-    drawn in blocks of whole rows of about `BLOCK_VALUES` words, each
-    decided straight into the uint8 bits and released before the next is
-    drawn."""
+    it equals `philox(seed).random((2N, K))[i, k] < pt^k`.  One
+    `bernoulli_rows` call decides the N rows of p1 and the next the N rows
+    of p2, straight into the uint8 bits."""
     if n_per_side < 1:
         raise ValueError("n_per_side must be >= 1")
-    n, k = 2 * n_per_side, model.k
-    per = max(1, BLOCK_VALUES // k)
     bit_generator = philox(seed).bit_generator
-    bits = np.empty((n, k), dtype=np.uint8)
-    for lo in range(0, n, per):
-        hi = min(lo + per, n)
-        # rows [lo, mid) are drawn from p1 and rows [mid, hi) from p2
-        mid = min(max(lo, n_per_side), hi)
-        words = bit_generator.random_raw((hi - lo) * k).reshape(hi - lo, k)
-        bernoulli_bits(words[:mid - lo], model.thresholds[0], out=bits[lo:mid].view(bool))
-        bernoulli_bits(words[mid - lo:], model.thresholds[1], out=bits[mid:hi].view(bool))
-        del words
+    bits = np.empty((2 * n_per_side, model.k), dtype=np.uint8)
+    bernoulli_rows(bit_generator, model.thresholds[0], bits[:n_per_side].view(bool))
+    bernoulli_rows(bit_generator, model.thresholds[1], bits[n_per_side:].view(bool))
     labels = np.repeat(np.array([1, 2], dtype=np.int8), n_per_side)
     return Dataset(bits=bits, labels=labels, n_per_side=n_per_side, seed=int(seed))
 
@@ -221,10 +221,37 @@ def constant_gap_mixture(k: int, gamma: float, base: float = 0.5) -> MixtureMode
     return MixtureModel(p1=base + gaps / 2.0, p2=base - gaps / 2.0)
 
 
+def write_replacing(path: str, text: str) -> None:
+    """Write `text` to a new file beside `path`, then rename it onto `path`,
+    so an existing output is replaced whole and never truncated in place.
+    A symlinked output is replaced at its target; paths that exist but are
+    not regular files (e.g. os.devnull) are written directly.  A failure to
+    make the temporary file names `path`.  Every output file of the package
+    is written here."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    folder, name = os.path.split(os.path.realpath(path))
+    tmp = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
+    # O_EXCL never clobbers another file; mode 0o666 under the umask, as open()
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        # named as open(path) names it, not by the temporary file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, os.path.join(folder, name))
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_model(model: MixtureModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"p1": model.p1.tolist(), "p2": model.p2.tolist()}, fh, indent=2)
-        fh.write("\n")
+    """Write `model` to `path` as the JSON object `load_model` reads."""
+    write_replacing(path, json.dumps({"p1": model.p1.tolist(), "p2": model.p2.tolist()}, indent=2) + "\n")
 
 
 _MODEL_KEYS = ("p1", "p2")
@@ -309,3 +336,19 @@ def bernoulli_bits(words: np.ndarray, thresholds: np.ndarray, out: np.ndarray) -
     keeps."""
     np.right_shift(words, _UNIFORM_SHIFT, out=words)
     return np.less(words, thresholds, out=out)
+
+
+def bernoulli_rows(bit_generator: np.random.BitGenerator, thresholds: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Decide the next len(out) rows of `bit_generator`'s raw words into the
+    bool array `out`, against the `bernoulli_thresholds` of p (broadcast
+    against a row), and return `out`.
+
+    Row i takes the next out[i].size words, in C order.  They are drawn in
+    blocks of whole rows of about `BLOCK_VALUES` words, each decided by
+    `bernoulli_bits` and released before the next is drawn, so the bits and
+    the generator's end state are those of one draw of all the words."""
+    per = max(1, BLOCK_VALUES // math.prod(out.shape[1:]))
+    for lo in range(0, len(out), per):
+        block = out[lo:lo + per]
+        bernoulli_bits(bit_generator.random_raw(block.size).reshape(block.shape), thresholds, out=block)
+    return out

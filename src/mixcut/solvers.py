@@ -28,7 +28,6 @@ partition and no other cut may tie its weight.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +52,7 @@ __all__ = [
     "DegenerateInstanceError",
     "DEFAULT_ENUMERATION_CAP",
     "DEFAULT_RESTARTS",
+    "require_within_cap",
     "solve_exact",
     "solve_hillclimb",
     "solve_spectral",
@@ -90,17 +90,19 @@ class SolveResult:
     tie: bool
 
 
+def require_within_cap(n_nodes: int, cap_nodes: int) -> None:
+    """Refuse exact enumeration of `n_nodes` nodes above `cap_nodes` nodes."""
+    if n_nodes > cap_nodes:
+        raise EnumerationCapError(f"{n_nodes} nodes exceed the exact-enumeration cap of {cap_nodes} nodes")
+
+
 def solve_exact(graph: CutGraph, cap_nodes: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
     """Maximum-weight balanced cut over all C(2N-1, N-1) canonical cuts.
 
     Ties keep the lexicographically smallest side_s index tuple and set the
     tie flag.
     """
-    if graph.n_nodes > cap_nodes:
-        raise EnumerationCapError(
-            f"instance has {graph.n_nodes} nodes; exact enumeration is capped at "
-            f"{cap_nodes} nodes ({math.comb(cap_nodes - 1, cap_nodes // 2 - 1)} cuts)"
-        )
+    require_within_cap(graph.n_nodes, cap_nodes)
     best_w, best_m, tie, evals = kernels.exact_max_balanced_cut(graph.weights)
     return SolveResult(
         best_cut=BalancedCut.from_membership(best_m),

@@ -44,12 +44,39 @@ def test_gen_constant_gap_model(tmp_path, capsys):
 @pytest.mark.parametrize("flags, generator", [
     (("--figure1",), lambda k: figure1_mixture(k)),
     (("--gap-gamma", "0.1"), lambda k: constant_gap_mixture(k, 0.1)),
+    (("--figure1", "--fraction-biased", "0.3", "--small", "0.02", "--large", "0.4", "--base", "0.45"),
+     lambda k: figure1_mixture(k, fraction_biased=0.3, small=0.02, large=0.4, base=0.45)),
 ])
 def test_gen_writes_the_generator_defaults(tmp_path, capsys, flags, generator):
     out, expected = tmp_path / "m.json", tmp_path / "expected.json"
     assert run_cli(capsys, "gen", *flags, "--k", "10", "--out", str(out))[0] == 0
     save_model(generator(10), str(expected))
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_gen_refuses_a_flag_its_generator_does_not_take(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    code, stdout, stderr = run_cli(capsys, "gen", "--gap-gamma", "0.1", "--k", "7", "--small", "0.2",
+                                   "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert "refused:" in stderr and "'small'" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_replaces_an_existing_model_file_whole(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert run_cli(capsys, "gen", "--figure1", "--k", "40", "--out", str(out))[0] == 0
+    before = out.stat().st_ino
+    assert run_cli(capsys, "gen", "--gap-gamma", "0.2", "--k", "3", "--out", str(out))[0] == 0
+    assert out.stat().st_ino != before
+    assert load_model(str(out)) == constant_gap_mixture(3, 0.2)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_gen_into_a_missing_directory_names_the_output(tmp_path, capsys):
+    out = tmp_path / "missing" / "m.json"
+    code, _, stderr = run_cli(capsys, "gen", "--figure1", "--k", "3", "--out", str(out))
+    assert code == 2 and stderr == f"mixcut gen: error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 @pytest.mark.parametrize("command", ["gen", "solve", "phase", "bounds", "verify"])
@@ -261,6 +288,25 @@ def test_phase_output_in_a_missing_directory_is_refused_before_any_trial(tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
 
 
+def test_phase_output_that_is_a_directory_is_refused_before_any_trial(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", never)
+    output = tmp_path / "out.csv"
+    output.mkdir()
+    config = {
+        "model": {"constant_gap": {"gamma": 0.25}}, "n_values": [4], "k_values": [10], "trials": 2,
+        "method": "exact", "metric": "hamming", "seed": 5, "output": str(output),
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, stderr = run_cli(capsys, "phase", "--config", str(cfg_path))
+    assert code == 2 and f"refused: output {output}:" in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "sweep.json"]
+    assert list(output.iterdir()) == []
+
+
 def test_phase_config_missing_a_required_key_is_refused_by_name(tmp_path, capsys):
     config = {
         "model": {"constant_gap": {"gamma": 0.25}},
@@ -402,6 +448,12 @@ def test_verify_refuses_an_out_of_range_size(capsys, flag, value):
     code, stdout, stderr = run_cli(capsys, "verify", "--gap-gamma", "0.2", flag, value)
     assert code == 2 and stdout == ""
     assert "refused:" in stderr and flag[2:].replace("-", "_") in stderr
+
+
+def test_verify_refuses_a_model_with_gamma_0(capsys):
+    code, stdout, stderr = run_cli(capsys, "verify", "--gap-gamma", "0", "--pairs", "200")
+    assert code == 2 and stdout == ""
+    assert "refused:" in stderr and "gamma = 0" in stderr
 
 
 def test_verify_hands_over_the_verify_config_defaults(capsys, monkeypatch):

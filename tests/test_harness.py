@@ -87,7 +87,7 @@ def test_run_cell_other_methods(tmp_path):
 
 
 def test_config_validation_errors(tmp_path):
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError, match="26 nodes exceed the exact-enumeration cap of 24 nodes"):
         make_config(tmp_path, n_values=[13]).validate()
     with pytest.raises(ValidationError):
         make_config(tmp_path, trials=0).validate()
