@@ -10,12 +10,15 @@ baseline centers the bit matrix by its global column means and splits the
 nodes on the leading left singular vector:
 centering removes the all-samples mean direction, which otherwise occupies
 the top of the uncentered spectrum, so the between-population axis is the
-leading direction of the centered matrix.  It takes that direction from
-`eigh` of the centered matrix's exact Gram on its smaller side, 2N x 2N or
-K x K, formed blockwise by `graph.exact_gram` rather than from an SVD of a
-float64 copy of the bits, and builds no graph.  Each node's value is a
-fixed-order sum over its own row, so identical rows get bit-equal values
-and the stable split takes them by node index.
+leading direction of the centered matrix.  It takes that direction by a
+Lanczos iteration on the centered matrix's exact Gram on its smaller side,
+2N x 2N or K x K, formed blockwise by `graph.exact_gram` rather than from
+an SVD of a float64 copy of the bits, and builds no graph.  The iteration
+starts from a fixed vector, multiplies with numpy's own loops rather than
+BLAS, and orients its result by that start, so the vector and its sign do
+not depend on the BLAS thread count or on LAPACK's sign convention.  Each
+node's value is a fixed-order sum over its own row, so identical rows get
+bit-equal values and the stable split takes them by node index.
 
 `solve` dispatches on the method name.  The estimator is the maximum
 Hamming cut, which is the minimum score cut (`graph` states the identity),
@@ -28,6 +31,7 @@ partition and no other cut may tie its weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,6 +66,11 @@ __all__ = [
 
 DEFAULT_ENUMERATION_CAP = 24
 DEFAULT_RESTARTS = 8
+# the spectral solver's Lanczos iteration (see `_lanczos_top`)
+_LANCZOS_KEY = 1950
+_LANCZOS_TOL = 1e-13
+_LANCZOS_CHECK = 4
+_LANCZOS_CHUNK = 32
 METHODS = ("exact", "hillclimb", "spectral")
 
 
@@ -161,31 +170,22 @@ def solve_hillclimb(
     )
 
 
-def _spectral_lead(bits: np.ndarray) -> np.ndarray:
-    """Each row's value on the leading axis of the column-centred bits,
-    up to one shift and one scale shared by all rows; raises
-    DegenerateInstanceError when all rows are identical.
+def _centred_gram(bits: np.ndarray) -> np.ndarray:
+    """The Gram of D = n B - 1 s^T = n C on its smaller side, in exact
+    integers held in float64; raises DegenerateInstanceError when all rows
+    are identical.
 
-    With n rows, s the column sums and D = n B - 1 s^T = n C (C the centred
-    bits), the Gram of D is taken on its smaller side, in exact integers:
+    With n rows, s the column sums and C the centred bits:
         n^2 C C^T = n^2 B B^T - n (B s 1^T + 1 (B s)^T) + (s^T s) 1 1^T
     when n <= K, else
         n^2 C^T C = n^2 B^T B - n s s^T.
-    B s is the row sums of B B^T and s^T s their sum.  The top eigenvector
-    of the row-side Gram is C's leading left singular vector u, which is
-    mapped to the right one, v proportional to D^T u = n B^T u - s (1^T u),
-    each entry of B^T u a fixed-order sum down its column; the column-side
-    Gram gives v itself.  The value of row i is b_i . v, a fixed-order sum
-    over its own row: C v is proportional to u, and b_i . v differs from
-    c_i . v by the same shift for every row.  So identical rows get
-    bit-equal values.  Every entry and partial sum of either Gram is an
-    integer of magnitude below 4 n^2 max(n, K), which the guard keeps
-    below 2**53.
+    B s is the row sums of B B^T and s^T s their sum.  Every entry and
+    partial sum of either Gram is an integer of magnitude below
+    4 n^2 max(n, K), which the guard keeps below 2**53.
     """
     n, k = bits.shape
     if 4 * n * n * max(n, k) >= 2**53:
         raise ValueError("bit matrix too large for an exact float64 Gram")
-    s = bits.sum(axis=0, dtype=np.int64).astype(np.float64)
     if n <= k:
         gram = exact_gram(bits, rows=True)
         bs = gram.sum(axis=1)
@@ -194,13 +194,110 @@ def _spectral_lead(bits: np.ndarray) -> np.ndarray:
         gram -= n * bs[None, :]
         gram += bs.sum()
     else:
+        s = bits.sum(axis=0, dtype=np.int64).astype(np.float64)
         gram = exact_gram(bits, rows=False)
         gram *= n * n
         gram -= n * np.multiply.outer(s, s)
     if not gram.any():  # C = 0 exactly
         raise DegenerateInstanceError("all rows identical; no separation axis exists")
-    top = np.linalg.eigh(gram)[1][:, -1]
+    return gram
+
+
+def _lanczos_start(m: int) -> np.ndarray:
+    """The Lanczos start vector of a side-m Gram: m standard normals from a
+    Philox stream of its own key, the same for every instance.
+
+    It is not 1, which the row-side centred Gram maps to 0, nor a pattern
+    such as alternating +-1, which a two-block answer in some node order
+    is orthogonal to; a random start is orthogonal to the top eigenvector
+    with probability 0.
+    """
+    return philox(0, _LANCZOS_KEY).standard_normal(m)
+
+
+def _lanczos_top(gram: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """The top eigenpair of the symmetric `gram` by a Lanczos iteration
+    with full reorthogonalisation (Lanczos 1950; Golub & Van Loan, ch. 10):
+    (Ritz value, unit Ritz vector, steps taken).
+
+    Step j forms w = G q_j - beta_{j-1} q_{j-1}, alpha_j = q_j . w and
+    w - alpha_j q_j, then projects w off the whole basis, and once more
+    if that pass halved its squared norm (the test of Daniel, Gragg,
+    Kaufman & Stewart, 1976); the rest's norm is beta_j.  The iteration
+    stops once the residual bound beta_j |y_j| of the top eigenpair
+    (theta, y) of the tridiagonal of the alphas and betas is at most
+    `_LANCZOS_TOL` times the largest |Ritz value|.  It stops regardless at
+    a breakdown, beta_j at most `_LANCZOS_TOL` times the largest alpha or
+    beta so far (a lower bound of the Gram's norm), where the basis spans
+    an invariant subspace, and at step len(gram), where it spans the whole
+    space.  The residual bound is checked after `_LANCZOS_CHECK` steps,
+    then each time the step count has grown by a quarter, by at least
+    `_LANCZOS_CHECK` steps: an `eigh` of the j x j tridiagonal costs
+    O(j^3), so checks at that growing spacing cost a bounded multiple of
+    the last one, and the iteration runs past the step where the bound
+    first holds by at most a quarter of its steps or `_LANCZOS_CHECK` - 1.
+
+    The vector is oriented to a positive inner product with
+    `_lanczos_start`, that is y_0 > 0, so its sign comes from the fixed
+    start, not from LAPACK.  Every product and projection is an `np.einsum`
+    without `optimize`, numpy's own fixed-order loops rather than BLAS, so
+    the vector's bits do not depend on the number of BLAS threads; the one
+    LAPACK call is `eigh` of the small tridiagonal.  The basis grows
+    `_LANCZOS_CHUNK` rows at a time, so memory is O(steps len(gram)).
+    """
+    m = len(gram)
+    start = _lanczos_start(m)
+    basis = np.empty((min(m, _LANCZOS_CHUNK), m))
+    basis[0] = start / math.sqrt(np.einsum("i,i", start, start))
+    alphas, betas, scale, check = [], [], 0.0, _LANCZOS_CHECK
+    w = np.empty(m)
+    for j in range(m):
+        np.einsum("ij,j->i", gram, basis[j], out=w)
+        if j:
+            w -= betas[-1] * basis[j - 1]
+        alphas.append(float(np.einsum("i,i", basis[j], w)))
+        w -= alphas[-1] * basis[j]
+        norm2 = np.einsum("i,i", w, w)
+        for _ in range(2):  # a second pass only if the first cancelled much
+            before, q = norm2, basis[:j + 1]
+            w -= np.einsum("ji,j->i", q, np.einsum("ij,j->i", q, w))
+            norm2 = np.einsum("i,i", w, w)
+            if norm2 >= before / 2:
+                break
+        beta = math.sqrt(norm2)
+        scale = max(scale, abs(alphas[-1]), beta)
+        final = j + 1 == m or beta <= _LANCZOS_TOL * scale
+        if final or j + 1 == check:
+            tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            thetas, ys = np.linalg.eigh(tridiagonal)
+            if final or beta * abs(ys[-1, -1]) <= _LANCZOS_TOL * np.abs(thetas).max():
+                break
+            check += max(_LANCZOS_CHECK, check // 4)
+        if j + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty((min(m - len(basis), _LANCZOS_CHUNK), m))])
+        np.divide(w, beta, out=basis[j + 1])
+        betas.append(beta)
+    y = ys[:, -1] if ys[0, -1] > 0 else -ys[:, -1]
+    return float(thetas[-1]), np.einsum("ji,j->i", basis[:j + 1], y), j + 1
+
+
+def _spectral_lead(bits: np.ndarray) -> np.ndarray:
+    """Each row's value on the leading axis of the column-centred bits,
+    up to one shift and one scale shared by all rows; raises
+    DegenerateInstanceError when all rows are identical.
+
+    The leading vector is `_lanczos_top` of `_centred_gram`.  On the row
+    side it is C's leading left singular vector u, which is mapped to the
+    right one, v proportional to D^T u = n B^T u - s (1^T u), each entry
+    of B^T u a fixed-order sum down its column; the column-side Gram gives
+    v itself.  The value of row i is b_i . v, a fixed-order sum over its
+    own row: C v is proportional to u, and b_i . v differs from c_i . v by
+    the same shift for every row.  So identical rows get bit-equal values.
+    """
+    n, k = bits.shape
+    top = _lanczos_top(_centred_gram(bits))[1]
     if n <= k:
+        s = bits.sum(axis=0, dtype=np.int64).astype(np.float64)
         width = max(n, BLOCK_VALUES // n)
         btu = np.concatenate(
             [(bits[:, lo:lo + width] * top[:, None]).sum(axis=0) for lo in range(0, k, width)]
@@ -215,12 +312,13 @@ def _spectral_lead(bits: np.ndarray) -> np.ndarray:
 def solve_spectral(dataset: Dataset, metric: Metric = Metric.HAMMING) -> SolveResult:
     """Split on the leading left singular vector of the centered bit matrix.
 
-    The vector comes from `eigh` of the centred bits' exact Gram on its
-    smaller side, n x n or K x K (see `_spectral_lead`), so no float64 copy
-    of the bits is made.  The top N nodes by value form side_s, in stable
-    order, so rows with equal values, identical rows among them, are
-    taken by node index; a global sign flip of the vector only mirrors the
-    bipartition unless equal values straddle the split.  The returned
+    The vector comes from a Lanczos iteration on the centred bits' exact
+    Gram on its smaller side, n x n or K x K (see `_spectral_lead` and
+    `_lanczos_top`), so no float64 copy of the bits is made.  The top N
+    nodes by value form side_s, in stable order, so rows with equal values,
+    identical rows among them, are taken by node index; the vector's sign,
+    fixed by the iteration's start, decides which copies those are, and
+    otherwise a global sign flip only mirrors the bipartition.  The returned
     weight is the cut's weight under `metric`, from `cut_weight_from_rows`.
     """
     lead = _spectral_lead(dataset.bits)

@@ -143,6 +143,14 @@ def svd_split(bits):
     return sorted(order[:half].tolist()), abs(lead[order[half - 1]] - lead[order[half]])
 
 
+def eigh_top(gram):
+    """The top eigenpair of a symmetric matrix from a dense `eigh`: its
+    largest eigenvalue and the last column of the eigenvectors, with
+    LAPACK's sign."""
+    values, vectors = np.linalg.eigh(gram)
+    return values[-1], vectors[:, -1]
+
+
 def score_graph(dataset):
     """The dataset's score graph: <x, y> for every pair of rows, from one
     int64 product, with the diagonal zeroed."""

@@ -571,21 +571,23 @@ def test_verify_bytes_do_not_depend_on_cores_or_blas_threads(tmp_path):
     procs = [start(blas, pinned) for blas in ("1", "2") for pinned in (False, True)]
 
     # one phase-sweep child per BLAS thread count: spectral (Gram product
-    # and eigh, duplicate rows at K <= 10) and hill-climb (graph product)
-    # sweeps under both metrics, K below and above 2N, then Grams summed
-    # over several blocks: column blocks at N=128, K=2000 for both methods,
-    # and row blocks for spectral at N=700, K=100 (2N > max(K, 2**17 // K))
+    # and Lanczos iteration, duplicate rows at K <= 10) and hill-climb
+    # (graph product) sweeps under both metrics, K below and above 2N, then
+    # Grams summed over several blocks: column blocks at N=128, K=2000 for
+    # both methods, and row blocks for spectral at N=700, K=100
+    # (2N > max(K, 2**17 // K)); last, a spectral sweep below the recovery
+    # threshold, where the iteration takes dozens of steps
     small = ([4, 8, 24, 64], [5, 10, 40, 400])
-    sweeps = [(method, metric, *small) for method in ("spectral", "hillclimb") for metric in ("hamming", "score")]
-    sweeps += [("spectral", "hamming", [128], [2000]), ("hillclimb", "hamming", [128], [2000]),
-               ("spectral", "hamming", [700], [100])]
+    sweeps = [(method, metric, *small, 0.1) for method in ("spectral", "hillclimb") for metric in ("hamming", "score")]
+    sweeps += [("spectral", "hamming", [128], [2000], 0.1), ("hillclimb", "hamming", [128], [2000], 0.1),
+               ("spectral", "hamming", [700], [100], 0.1), ("spectral", "hamming", [64], [400], 0.001)]
     phase = {}
     for blas in ("1", "2"):
         configs = []
-        for i, (method, metric, n_values, k_values) in enumerate(sweeps):
+        for i, (method, metric, n_values, k_values, gamma) in enumerate(sweeps):
             cfg_path = tmp_path / f"{i}-{blas}.json"
             cfg_path.write_text(json.dumps({
-                "model": {"constant_gap": {"gamma": 0.1}}, "n_values": n_values,
+                "model": {"constant_gap": {"gamma": gamma}}, "n_values": n_values,
                 "k_values": k_values, "trials": 6, "method": method, "metric": metric,
                 "seed": 31, "output": str(tmp_path / f"{i}-{blas}.csv"),
             }))
@@ -602,6 +604,6 @@ def test_verify_bytes_do_not_depend_on_cores_or_blas_threads(tmp_path):
     assert all((out, rc) == (stdout, code) for (out, _), rc in runs)
     for blas, proc in phase.items():
         assert proc.communicate(timeout=120)[1] == "" and proc.returncode == 0
-    for i, (method, metric, n_values, k_values) in enumerate(sweeps):
+    for i, (method, metric, n_values, k_values, _gamma) in enumerate(sweeps):
         one, two = ((tmp_path / f"{i}-{blas}.csv").read_bytes() for blas in ("1", "2"))
         assert one.count(b"\n") == 1 + len(n_values) * len(k_values) and one == two, (method, metric)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mixcut.kernels as kernels
+import mixcut.solvers as solvers
 from mixcut.graph import (
     BalancedCut,
     CutGraph,
@@ -19,6 +20,9 @@ from mixcut.model import Dataset, MixtureModel, constant_gap_mixture, derive_see
 from mixcut.solvers import (
     DegenerateInstanceError,
     EnumerationCapError,
+    _centred_gram,
+    _lanczos_start,
+    _lanczos_top,
     _random_balanced_membership,
     _spectral_lead,
     judge,
@@ -30,6 +34,7 @@ from mixcut.solvers import (
 
 from oracles import (
     all_balanced_cuts,
+    eigh_top,
     full_scan_hillclimb,
     naive_extreme_balanced_cut,
     naive_hillclimb,
@@ -487,6 +492,98 @@ def test_spectral_gives_identical_rows_equal_values_and_splits_them_by_node_inde
         assert straddled == 1
 
 
+def _one_hot_rows(counts, k=None):
+    # counts[i] copies of the i-th unit row of width k (default len(counts))
+    return np.repeat(np.eye(len(counts), k or len(counts), dtype=np.uint8), counts, axis=0)
+
+
+def _lanczos_cases():
+    rng = np.random.default_rng(1950)
+    # sampled bits with the Gram on either side: K < 2N and K > 2N
+    for n, k in ((8, 5), (8, 40), (32, 10), (32, 200), (64, 100)):
+        for gamma in (0.0, 0.02, 0.3):
+            yield f"sampled N={n} K={k} gamma={gamma}", sample(constant_gap_mixture(k, gamma), n, derive_seed(31, n, k)).bits
+    # 2N rows drawn from five distinct ones: duplicates, centred rank <= 4
+    for n, k in ((8, 12), (16, 60), (32, 20)):
+        distinct = rng.integers(0, 2, (5, k), dtype=np.uint8)
+        yield f"duplicates N={n} K={k}", distinct[rng.integers(0, 5, 2 * n)]
+    # equal counts of unit rows: the top eigenvalue is repeated exactly, on
+    # the column side and on the row side; unequal counts part it slightly
+    yield "degenerate, column side", _one_hot_rows([4, 4, 4, 4])
+    yield "degenerate, row side", _one_hot_rows([3, 3, 3, 3], k=16)
+    yield "near-degenerate 40/40/41/39", _one_hot_rows([40, 40, 41, 39])
+    yield "near-degenerate 300/301/299/300", _one_hot_rows([300, 301, 299, 300])
+
+
+def test_lanczos_top_matches_the_dense_eigh_of_the_same_gram():
+    gaps = []
+    for name, bits in _lanczos_cases():
+        gram = _centred_gram(bits)
+        theta, x, steps = _lanczos_top(gram)
+        values = np.linalg.eigvalsh(gram)
+        assert abs(theta - values[-1]) <= 1e-12 * values[-1], name
+        assert abs(np.linalg.norm(x) - 1) <= 1e-12 and x @ _lanczos_start(len(gram)) > 0, name
+        assert 1 <= steps <= len(gram), name
+        gap = (values[-1] - values[-2]) / values[-1]
+        gaps.append(gap)
+        if gap > 1e-6:  # below it the top eigenvector is not well defined
+            assert abs(x @ eigh_top(gram)[1]) >= 1 - 1e-10, (name, gap)
+    assert sum(gap <= 1e-6 for gap in gaps) == 2 and min(gap for gap in gaps if gap > 1e-6) < 1e-2
+
+
+def _oracle_top(gram):
+    # the dense vector, oriented by the same rule as the Lanczos vector
+    value, vector = eigh_top(gram)
+    return value, (vector if vector @ _lanczos_start(len(gram)) > 0 else -vector), len(gram)
+
+
+def test_spectral_cut_equals_the_cut_of_the_dense_vector(monkeypatch):
+    # the same projection and stable split, fed the dense eigh vector; at
+    # K = 5 distinct rows tie to rounding and the two cuts can part, so
+    # that K is left out
+    compared = 0
+    for n in (4, 6, 8, 12, 16, 24, 32):
+        for k in (10, 20, 40, 160):
+            for g, gamma in enumerate((0.02, 0.1, 0.3)):
+                model = constant_gap_mixture(k, gamma)
+                for trial in range(10):
+                    ds = sample(model, n, derive_seed(1950, n, k, g, trial))
+                    cut = solve_spectral(ds).best_cut
+                    with monkeypatch.context() as patch:
+                        patch.setattr(solvers, "_lanczos_top", _oracle_top)
+                        assert cut == solve_spectral(ds).best_cut, (n, k, gamma, trial)
+                    compared += 1
+    assert compared == 840
+
+
+def test_two_row_kinds_split_exactly_at_a_breakdown(monkeypatch):
+    # N copies each of two distinct rows, in the node order a b b a a b b a
+    # ...: the centred Gram (row side, K >= 2N) has rank one, so the
+    # iteration breaks down at its second step, with the answer.  A start
+    # of 1 would fail here: the row-side Gram maps 1 to 0.  So would an
+    # alternating +-1 start: in this order it is orthogonal to the answer,
+    # +1 on one kind and -1 on the other.  Either start is mapped to 0 and
+    # gives every node the value 0, and the split by node index is wrong.
+    n, k = 8, 24
+    rng = np.random.default_rng(25)
+    kinds = rng.integers(0, 2, (2, k), dtype=np.uint8)
+    kinds[0, 0], kinds[1, 0] = 1, 0  # distinct
+    labels = np.array([1, 2, 2, 1] * (n // 2))
+    ds = Dataset(bits=kinds[labels - 1], labels=labels, n_per_side=n, seed=0)
+    truth = true_partition(ds)
+    gram = _centred_gram(ds.bits)
+    assert np.linalg.matrix_rank(gram) == 1
+    assert _lanczos_top(gram)[2] == 2
+    assert solve_spectral(ds).best_cut == truth
+    answer = np.where(labels == 1, 1.0, -1.0)
+    alternating = np.resize([1.0, -1.0], 2 * n)
+    assert not (gram @ np.ones(2 * n)).any() and answer @ alternating == 0
+    for start in (np.ones(2 * n), alternating):
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_lanczos_start", lambda m, start=start: start)
+            assert solve_spectral(ds).best_cut != truth
+
+
 @pytest.mark.parametrize("layer", ["sample", "build_graph", "solve_spectral"])
 def test_trial_layers_stay_within_3_mib_at_n128_k2000(layer):
     # whole 8-byte copies of the bits (the raw words, float64 Gram inputs)
@@ -506,6 +603,19 @@ def test_trial_layers_stay_within_3_mib_at_n128_k2000(layer):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
+
+
+def test_spectral_solve_stays_within_5_82_mib_at_n1024_k554():
+    # a dense eigh of the 554 x 554 Gram put the traced peak at 5.82 MiB; a
+    # Lanczos basis of a few dozen rows keeps it near 4.8
+    ds = sample(constant_gap_mixture(554, 0.01), 1024, 5)
+    tracemalloc.start()
+    try:
+        solve_spectral(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.82 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("shape", [(4, 2**47), (2**17, 1)])
